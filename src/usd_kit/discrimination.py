@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     InvalidEnsemble,
     InvalidPovm,
+    ParamOutOfRange,
     ZeroProbabilityBranch,
 )
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -63,11 +64,17 @@ class RandomSource:
     """Seeded counter-based generator (numpy Philox 4x64).
 
     The same seed always reproduces the same stream; quality targets
-    reproducibility, not cryptography.
+    reproducibility, not cryptography.  ``seed`` must be an integer in
+    ``[0, 2**128)``, the keys Philox takes (``ParamOutOfRange`` otherwise).
     """
 
     seed: int
     algorithm: str = field(default="philox4x64")
+
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+            raise ParamOutOfRange(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed + offset))
@@ -99,10 +106,8 @@ def state_ensemble(states: StateSet, priors, ctx: ToleranceContext = DEFAULT_TOL
 
 def density_matrix(e: StateEnsemble) -> np.ndarray:
     """Mixture density matrix ``sum_i P_i |alpha_i><alpha_i|``."""
-    rho = np.zeros((e.dim, e.dim), dtype=complex)
-    for i in range(e.count):
-        v = e.states.column(i)
-        rho += e.priors[i] * np.outer(v, v.conj())
+    a = e.states.states
+    rho = (a * e.priors) @ a.conj().T
     return (rho + rho.conj().T) / 2.0
 
 
@@ -111,12 +116,10 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext
         raise DimensionMismatch(
             f"ensemble dimension {e.dim} does not match POVM dimension {p.dim}"
         )
-    n = e.count
-    probs = np.zeros((n, len(p.operators)))
-    for i in range(n):
-        v = e.states.column(i)
-        for j, op in enumerate(p.operators):
-            probs[i, j] = float((v.conj() @ np.asarray(op) @ v).real)
+    a = e.states.states
+    # probs[i, j] = <alpha_i|F_j|alpha_i>, one operator at a time: a stack-wide
+    # product would allocate a temporary as large as the POVM itself.
+    probs = np.array([np.sum(a.conj() * (f @ a), axis=0).real for f in p.operators]).T
     return np.clip(probs, 0.0, None)
 
 
@@ -129,7 +132,7 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
         )
     probs = _per_state_probabilities(e, p, ctx)
     n = e.count
-    success = np.array([probs[i, i] for i in range(n)])
+    success = np.diagonal(probs).copy()
     errors = probs[:, :n].copy()
     np.fill_diagonal(errors, 0.0)
     inconclusive = probs[:, n]

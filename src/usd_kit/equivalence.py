@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, is_rank_one, operator_rank, state_set
+from .duality import PovmSet, StateSet, operator_rank, rank_one_povm, state_set
+from .duality import top_two_singular_values
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
@@ -120,7 +121,7 @@ def povm_from_lossy(
 
     ``F_i`` is the dyad of ``K^dag psi_i`` (exactly Hermitian and rank at
     most one by construction); the inconclusive operator is
-    ``I - K^dag K``, positive precisely because K is passive.
+    ``I - sum_i F_i = I - K^dag K``, positive precisely because K is passive.
     """
     if not le.passive:
         raise NotPassive(
@@ -132,16 +133,8 @@ def povm_from_lossy(
         raise DimensionMismatch(
             f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
         )
-    k = np.asarray(le.k)
-    n = le.dim
-    operators = []
-    for i in range(n):
-        v = k.conj().T @ basis.vector(i)
-        operators.append(linalg.frozen(np.outer(v, v.conj())))
-    gram = k.conj().T @ k
-    f_last = np.eye(n, dtype=complex) - (gram + gram.conj().T) / 2.0
-    operators.append(linalg.frozen((f_last + f_last.conj().T) / 2.0))
-    return PovmSet(dim=n, operators=tuple(operators), scaling=None)
+    ops = np.empty((le.dim + 1, le.dim, le.dim), dtype=complex)
+    return rank_one_povm(ops, (np.asarray(le.k).conj().T @ basis.psi).T)
 
 
 def lossy_from_povm(
@@ -152,10 +145,13 @@ def lossy_from_povm(
 ) -> LossyEvolution:
     """Evolution operator realizing a rank-one POVM in the given basis.
 
-    Implements ``K = sum_i Pi_i F_i e^{i phi_i} / sqrt(tr(F_i Pi_i))``.
-    The resulting operator reproduces every ``F_i`` exactly and is
-    passive (its Gram matrix is ``I - F_{N+1}``); the phases are free
-    parameters that never affect measurement statistics.
+    Implements ``K = sum_i Pi_i F_i e^{i phi_i} / sqrt(tr(F_i Pi_i))``:
+    row i of ``Psi^dag K`` is
+    ``e^{i phi_i} psi_i^dag F_i / sqrt(psi_i^dag F_i psi_i)``, and all rows
+    come from one expression after one batched rank-one test.  The
+    resulting operator reproduces every ``F_i`` exactly and is passive
+    (its Gram matrix is ``I - F_{N+1}``); the phases are free parameters
+    that never affect measurement statistics.
 
     Raises
     ------
@@ -175,24 +171,25 @@ def lossy_from_povm(
         phi = np.asarray(phases, dtype=float)
         if phi.shape != (n,):
             raise DimensionMismatch(f"expected {n} phases, got shape {phi.shape}")
-    k = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        f = np.asarray(p.operators[i])
-        top = float(np.abs(linalg.hermitian_eigen(f, ctx).eigenvalues).max())
-        if not is_rank_one(f, ctx) or top <= ctx.psd_tol:
-            raise RankMismatch(
-                f"detection operator {i + 1} is not rank one", operator=i + 1
-            )
-        weight = float((basis.vector(i).conj() @ f @ basis.vector(i)).real)
-        if weight <= ctx.psd_tol:
-            raise DegenerateBasisAlignment(
-                f"basis vector {i + 1} is orthogonal to detection operator {i + 1}",
-                operator=i + 1,
-                weight=weight,
-            )
-        row = basis.vector(i).conj() @ f  # Pi_i F_i collapsed onto psi_i
-        k += np.exp(1j * phi[i]) / np.sqrt(weight) * np.outer(basis.vector(i), row)
-    return make_lossy(k, ctx)
+    f = p.operators[:n]
+    top, second = top_two_singular_values(f, ctx)
+    bad = np.flatnonzero((second > ctx.psd_tol * top) | (top <= ctx.psd_tol))
+    if bad.size:
+        raise RankMismatch(
+            f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1
+        )
+    psi = basis.psi
+    rows = np.einsum("ik,kij->kj", psi.conj(), f)  # row k is psi_k^dag F_k
+    weights = np.einsum("ij,ji->i", rows, psi).real
+    bad = np.flatnonzero(weights <= ctx.psd_tol)
+    if bad.size:
+        raise DegenerateBasisAlignment(
+            f"basis vector {bad[0] + 1} is orthogonal to detection operator {bad[0] + 1}",
+            operator=int(bad[0]) + 1,
+            weight=float(weights[bad[0]]),
+        )
+    coefficients = np.exp(1j * phi) / np.sqrt(weights)
+    return make_lossy(psi @ (coefficients[:, None] * rows), ctx)
 
 
 def dyadic_form(
@@ -243,8 +240,11 @@ def dilate_unitary(le: LossyEvolution, ctx: ToleranceContext = DEFAULT_TOL) -> n
     """Embed a passive K in the 2N x 2N unitary built from its defect operators.
 
     The top-left block is K itself (bit for bit); the defect blocks
-    ``(I - K K^dag)^{1/2}`` and ``(I - K^dag K)^{1/2}`` route the lost
-    amplitude into the ancilla coordinates.
+    ``(I - K K^dag)^{1/2} = U D U^dag`` and ``(I - K^dag K)^{1/2} = V D V^dag``
+    route the lost amplitude into the ancilla coordinates.  Both come from
+    one SVD ``K = U S V^dag`` with ``D = (I - S^2)^{1/2}``, so they share
+    the singular vectors of K and the off-diagonal blocks of ``U'U`` cancel
+    to round-off even when K sits on the passiveness boundary.
     """
     if not le.passive:
         raise NotPassive(
@@ -254,13 +254,12 @@ def dilate_unitary(le: LossyEvolution, ctx: ToleranceContext = DEFAULT_TOL) -> n
         )
     k = np.asarray(le.k)
     n = le.dim
-    eye = np.eye(n, dtype=complex)
-    defect_left = linalg.psd_sqrt(eye - k @ k.conj().T, ctx)
-    defect_right = linalg.psd_sqrt(eye - k.conj().T @ k, ctx)
-    u = np.zeros((2 * n, 2 * n), dtype=complex)
+    left, s, right_h = np.linalg.svd(k)
+    defect = np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None))
+    u = np.empty((2 * n, 2 * n), dtype=complex)
     u[:n, :n] = k
-    u[:n, n:] = defect_left
-    u[n:, :n] = defect_right
+    u[:n, n:] = (left * defect) @ left.conj().T
+    u[n:, :n] = (right_h.conj().T * defect) @ right_h
     u[n:, n:] = -k.conj().T
     return u
 

@@ -71,11 +71,9 @@ def render_json(value) -> str:
 
 # -- shared pieces -----------------------------------------------------------
 
-def _entry_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [
-        [[float(m[i, j].real), float(m[i, j].imag)] for j in range(m.shape[1])]
-        for i in range(m.shape[0])
-    ]
+def _entry_pairs(m: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs, one level per axis of ``m``."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _parse_complex_rows(data, rows: int, cols: int, where: str) -> np.ndarray:
@@ -134,11 +132,8 @@ def matrix_from_doc(doc) -> np.ndarray:
 # -- ensemble documents --------------------------------------------------------
 
 def ensemble_doc(e: StateEnsemble) -> dict:
-    vectors = [
-        [[float(x.real), float(x.imag)] for x in e.states.column(i)]
-        for i in range(e.count)
-    ]
-    return {"dim": e.dim, "states": vectors, "priors": [float(x) for x in e.priors]}
+    states = _entry_pairs(np.asarray(e.states.states).T)
+    return {"dim": e.dim, "states": states, "priors": [float(x) for x in e.priors]}
 
 
 def ensemble_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble:
@@ -175,7 +170,7 @@ def states_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
 def povm_doc(p: PovmSet) -> dict:
     return {
         "dim": p.dim,
-        "operators": [_entry_pairs(np.asarray(op)) for op in p.operators],
+        "operators": _entry_pairs(p.operators),
     }
 
 
@@ -191,10 +186,10 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     raw_ops = doc["operators"]
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
-    operators = tuple(
-        linalg.frozen(_parse_complex_rows(op, dim, dim, f"povm operator {idx + 1}"))
+    operators = [
+        _parse_complex_rows(op, dim, dim, f"povm operator {idx + 1}")
         for idx, op in enumerate(raw_ops)
-    )
+    ]
     p = PovmSet(dim=dim, operators=operators, scaling=None)
     if validate:
         report = validate_povm(p, ctx)
@@ -204,11 +199,11 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
                 completeness_residual=report.completeness_residual,
                 min_eigenvalues=[d.min_eigenvalue for d in report.operators],
             )
-        for i in range(dim):
-            if not is_rank_one(p.operators[i], ctx):
-                raise InvalidPovm(
-                    f"detection operator {i + 1} is not rank one", operator=i + 1
-                )
+        bad = np.flatnonzero(~is_rank_one(p.operators[:dim], ctx))
+        if bad.size:
+            raise InvalidPovm(
+                f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1
+            )
     return p
 
 

@@ -2,10 +2,10 @@
 
 All operations are pure functions over immutable numpy arrays with
 explicit, auditable tolerances.  Matrix equality is always judged in the
-Frobenius norm, never entrywise.  Eigen-based routines are backed by
-``numpy.linalg``; singular values are derived exclusively from the
-Hermitian eigendecomposition of ``K^dag K`` (singular vectors are never
-needed, and K itself is never diagonalized).
+Frobenius norm, never entrywise.  Every routine is backed by
+``numpy.linalg``; singular values come from a values-only SVD of the
+matrix itself, never from ``K^dag K``, whose eigenvalues carry the square
+of the condition number.
 """
 
 from __future__ import annotations
@@ -101,22 +101,6 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    am = as_matrix(a, "left factor")
-    bm = as_matrix(b, "right factor")
-    if am.shape[1] != bm.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {am.shape[0]}x{am.shape[1]} by {bm.shape[0]}x{bm.shape[1]}"
-        )
-    return am @ bm
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def _check_hermitian(h: np.ndarray, ctx: ToleranceContext, name: str) -> None:
     scale = max(frobenius(h), 1.0)
     residual = frobenius(h - h.conj().T)
@@ -143,17 +127,24 @@ def hermitian_eigen(h, ctx: ToleranceContext = DEFAULT_TOL) -> HermitianEigen:
     return HermitianEigen(eigenvalues=w[order].copy(), eigenvectors=v[:, order].copy())
 
 
+def hermitian_eigvals(h, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues, descending, of a Hermitian matrix or of each matrix of a
+    stack ``(k, N, N)`` in one LAPACK call; raises as :func:`hermitian_eigen`
+    does, for the first matrix that fails its checks.
+    """
+    hm = np.asarray(h, dtype=complex)
+    for f in hm.reshape((-1,) + hm.shape[-2:]):  # one matrix at a time: no stack temporaries
+        _check_hermitian(require_square(f, "Hermitian input"), ctx, "eigen input")
+    return np.linalg.eigvalsh(hm)[..., ::-1]
+
+
 def singular_values(k, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     """Singular values of ``k``, nonnegative and descending.
 
-    Computed as the square roots of the eigenvalues of ``k^dag k``.
     Values below ``SV_FLOOR`` times the largest one are flushed to zero.
     """
     km = as_matrix(k, "operator")
-    gram = km.conj().T @ km
-    gram = (gram + gram.conj().T) / 2.0
-    w = hermitian_eigen(gram, ctx).eigenvalues
-    sv = np.sqrt(np.clip(w, 0.0, None))
+    sv = np.linalg.svd(km, compute_uv=False)
     if sv.size and sv[0] > 0.0:
         sv[sv < SV_FLOOR * sv[0]] = 0.0
     return sv

@@ -135,6 +135,30 @@ def test_uniform_max_hits_feasibility_boundary():
         assert -DEFAULT_TOL.psd_tol <= min_eig <= DEFAULT_TOL.psd_tol
 
 
+# -- PovmSet storage --------------------------------------------------------------
+
+def test_povm_operators_are_one_read_only_stack():
+    ops = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)))
+    p = PovmSet(dim=2, operators=ops)
+    assert isinstance(p.operators, np.ndarray)
+    assert p.operators.shape == (3, 2, 2) and p.operators.dtype == complex
+    assert not p.operators.flags.writeable
+    built = build_usd_povm(state_set(fig1_states()))
+    assert built.operators.shape == (3, 2, 2) and not built.operators.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        (np.eye(2), np.zeros((2, 2))),  # one operator short
+        (np.eye(2), np.zeros((2, 2)), np.zeros((3, 3))),  # ragged
+    ],
+)
+def test_povm_rejects_operators_of_the_wrong_shape(ops):
+    with pytest.raises(DimensionMismatch):
+        PovmSet(dim=2, operators=ops)
+
+
 # -- validate_povm ---------------------------------------------------------------
 
 def test_validate_projective_povm():

@@ -372,6 +372,26 @@ def test_cli_discriminate_workers_change_the_stream_not_the_contract(tmp_path, c
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_cli_discriminate_rejects_seed_outside_philox_keys(tmp_path, capsys, seed):
+    k_path, ensemble_path = write_fig1_files(tmp_path)
+    argv = [
+        "discriminate",
+        "--ensemble",
+        str(ensemble_path),
+        "--k",
+        str(k_path),
+        "--trials",
+        "10",
+        "--seed",
+        seed,
+        "--json",
+    ]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "param_out_of_range"
+
+
 def test_cli_example_fig1_json(capsys):
     assert main(["example", "--name", "fig1", "--param", "0.5", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
