@@ -261,18 +261,10 @@ def _cmd_discriminate(args, ctx: ToleranceContext) -> int:
     report = usd_report(ensemble, povm, ctx)
     doc = {"report": _report_doc(report)}
     if args.trials is not None:
-        stats = sample_outcomes(
-            ensemble,
-            povm,
-            args.trials,
-            RandomSource(seed=args.seed),
-            workers=args.workers,
-            ctx=ctx,
-        )
+        stats = sample_outcomes(ensemble, povm, args.trials, RandomSource(seed=args.seed), ctx)
         doc["outcomes"] = {
             "trials_per_state": stats.trials,
             "seed": stats.seed,
-            "workers": args.workers,
             "counts": [[int(c) for c in row] for row in stats.counts],
         }
     if args.json:
@@ -280,7 +272,7 @@ def _cmd_discriminate(args, ctx: ToleranceContext) -> int:
     else:
         _print_report_human(report)
         if args.trials is not None:
-            print(f"counts ({args.trials} trials/state, seed {args.seed}, workers {args.workers}):")
+            print(f"counts ({args.trials} trials/state, seed {args.seed}):")
             for i, row in enumerate(doc["outcomes"]["counts"]):
                 print(f"  state {i + 1}: {row}")
     return 0
@@ -369,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", help="matrix JSON file (computational basis)")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per prepared state")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_discriminate)
 

@@ -1,7 +1,7 @@
 """End-to-end discrimination workflow: ensembles, reports, sampling.
 
 Analytic outcome probabilities come from traces against the POVM
-operators; Monte Carlo sampling draws outcomes by inverse CDF from a
+operators; Monte Carlo sampling draws exact multinomial counts from a
 counter-based generator so runs are reproducible bit for bit.
 """
 
@@ -63,7 +63,8 @@ class DiscriminationReport:
 class RandomSource:
     """Seeded counter-based generator (numpy Philox 4x64).
 
-    The same seed always reproduces the same stream; quality targets
+    The seed is the Philox key, so the same seed always reproduces the
+    same stream and distinct seeds never share one; quality targets
     reproducibility, not cryptography.  ``seed`` must be an integer in
     ``[0, 2**128)``, the keys Philox takes (``ParamOutOfRange`` otherwise).
     """
@@ -76,8 +77,8 @@ class RandomSource:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
             raise ParamOutOfRange(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
-    def generator(self, offset: int = 0) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.seed + offset))
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.seed))
 
 
 @dataclass(frozen=True)
@@ -147,35 +148,29 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     )
 
 
-def _split_trials(total: int, workers: int) -> list[int]:
-    base, rem = divmod(total, workers)
-    return [base + (1 if w < rem else 0) for w in range(workers)]
-
-
 def sample_outcomes(
     e: StateEnsemble,
     p: PovmSet,
     trials_per_state: int,
     rng: RandomSource,
-    workers: int = 1,
     ctx: ToleranceContext = DEFAULT_TOL,
 ) -> OutcomeStats:
-    """Draw measurement outcomes by inverse CDF; deterministic per (seed, workers).
+    """Draw exact multinomial outcome counts; deterministic per seed.
 
-    Worker w runs its share of the trials on a generator keyed with
-    ``seed + w``; merged counts are the sum, so the worker count is part
-    of the reproducibility contract (it is never auto-detected).
+    Each prepared state's row of N+1 counts is one multinomial draw of
+    ``trials_per_state`` trials over its outcome probabilities, all rows
+    from one generator keyed with the seed.
 
     Raises
     ------
+    InvalidEnsemble
+        When ``trials_per_state`` is negative.
     InvalidPovm
         When the POVM fails validation (Hermiticity, positivity or
         completeness).
     """
     if trials_per_state < 0:
         raise InvalidEnsemble(f"trials_per_state must be nonnegative, got {trials_per_state}")
-    if workers < 1:
-        raise InvalidEnsemble(f"workers must be at least 1, got {workers}")
     report = validate_povm(p, ctx)
     if not report.valid:
         raise InvalidPovm(
@@ -183,19 +178,7 @@ def sample_outcomes(
             completeness_residual=report.completeness_residual,
         )
     probs = _per_state_probabilities(e, p, ctx)
-    n_outcomes = probs.shape[1]
-    counts = np.zeros((e.count, n_outcomes), dtype=np.int64)
-    shares = _split_trials(trials_per_state, workers)
-    for w in range(workers):
-        gen = rng.generator(offset=w)
-        for i in range(e.count):
-            row = probs[i] / probs[i].sum()
-            cumulative = np.cumsum(row)
-            cumulative[-1] = 1.0  # final interval absorbs round-off
-            draws = gen.random(shares[w])
-            outcome = np.searchsorted(cumulative, draws, side="right")
-            outcome = np.minimum(outcome, n_outcomes - 1)
-            counts[i] += np.bincount(outcome, minlength=n_outcomes)
+    counts = rng.generator().multinomial(trials_per_state, probs / probs.sum(axis=1, keepdims=True))
     return OutcomeStats(counts=linalg.frozen(counts), trials=trials_per_state, seed=rng.seed)
 
 

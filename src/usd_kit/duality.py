@@ -133,11 +133,9 @@ def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
             f"state norms deviate from 1 by {worst:.3e} (eq_tol {ctx.eq_tol:.1e})",
             worst_norm_deviation=worst,
         )
-    if linalg.condition_number(m, ctx) > ctx.cond_max:
-        raise SingularStates(
-            "states are linearly dependent within tolerance",
-            condition_number=linalg.condition_number(m, ctx),
-        )
+    cond = linalg.condition_number(m, ctx)
+    if cond > ctx.cond_max:
+        raise SingularStates("states are linearly dependent within tolerance", condition_number=cond)
     return StateSet(dim=dim, states=linalg.frozen(m))
 
 

@@ -158,7 +158,8 @@ def lossy_from_povm(
     RankMismatch
         If some detection operator is not rank one.
     DegenerateBasisAlignment
-        If a basis projector is orthogonal to its detection operator.
+        If a basis projector is orthogonal to its detection operator:
+        ``psi_i^dag F_i psi_i <= psd_tol * ||F_i||``.
     """
     n = p.dim
     if basis.dim != n:
@@ -181,7 +182,7 @@ def lossy_from_povm(
     psi = basis.psi
     rows = np.einsum("ik,kij->kj", psi.conj(), f)  # row k is psi_k^dag F_k
     weights = np.einsum("ij,ji->i", rows, psi).real
-    bad = np.flatnonzero(weights <= ctx.psd_tol)
+    bad = np.flatnonzero(weights <= ctx.psd_tol * top)
     if bad.size:
         raise DegenerateBasisAlignment(
             f"basis vector {bad[0] + 1} is orthogonal to detection operator {bad[0] + 1}",

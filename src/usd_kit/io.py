@@ -39,7 +39,8 @@ def _render(value, out: list[str]) -> None:
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"cannot serialize non-finite number {v!r}")
-        out.append(format(v, ".17g"))
+        text = format(v, ".17g")
+        out.append("-0.0" if text == "-0" else text)  # "-0" parses as the integer 0
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, dict):

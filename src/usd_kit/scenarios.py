@@ -52,8 +52,10 @@ class Fig2Params:
     def __post_init__(self):
         if not (self.coupling > 0.0 and math.isfinite(self.coupling)):
             raise ParamOutOfRange(f"coupling must be positive and finite, got {self.coupling!r}")
-        if not math.isfinite(self.z):
-            raise ParamOutOfRange(f"z must be finite, got {self.z!r}")
+        if not math.isfinite(self.z * self.coupling):
+            raise ParamOutOfRange(
+                f"z and coupling * z must be finite, got z={self.z!r}, coupling={self.coupling!r}"
+            )
 
 
 def beam_splitter_attenuator(gamma: float) -> np.ndarray:
@@ -90,9 +92,8 @@ def fig1_scenario(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario
     return Scenario(name="fig1", k=k, basis=basis, input_states=states, expected=expected)
 
 
-def _fig2_closed_form(params: Fig2Params) -> tuple[complex, complex]:
+def _fig2_closed_form(az: float) -> tuple[complex, complex]:
     """Diagonal and off-diagonal entries of the reduced two-port operator."""
-    az = params.coupling * params.z
     off = (np.exp(-2j * az) - np.exp(1j * az)) / 3.0
     return np.exp(1j * az) + off, off
 
@@ -103,9 +104,14 @@ def fig2_scenario(params: Fig2Params, ctx: ToleranceContext = DEFAULT_TOL) -> Sc
     Expected values come from the closed form of the propagator: the
     reduced operator is ``e^{iaz} I + c J`` with
     ``c = (e^{-2iaz} - e^{iaz})/3`` and J the all-ones matrix.
+
+    The Hamiltonian's eigenvalues are ``a * {2, -1, -1}``, so the
+    propagator has period ``2 pi`` in ``az``.  Both the closed form and
+    the propagator take ``az`` reduced modulo ``2 pi``: at large z the
+    eigenvalue round-off times z would otherwise part them silently.
     """
-    h = tight_binding_hamiltonian(params.coupling)
-    full_u = linalg.unitary_exp(h, params.z, ctx)
+    az = math.fmod(params.coupling * params.z, 2.0 * math.pi)
+    full_u = linalg.unitary_exp(tight_binding_hamiltonian(), az, ctx)
     try:
         k = reduced_evolution(full_u, 2, ctx)
         states = discriminable_states(k, computational_basis(2), ctx)
@@ -114,7 +120,7 @@ def fig2_scenario(params: Fig2Params, ctx: ToleranceContext = DEFAULT_TOL) -> Sc
             f"reduced operator is not invertible at z={params.z!r}", z=params.z
         ) from exc
 
-    diag, off = _fig2_closed_form(params)
+    diag, off = _fig2_closed_form(az)
     alpha = diag - off  # bare propagation phase e^{iaz}
     det = alpha * (alpha + 2.0 * off)
     col_norm_sq = (abs(diag) ** 2 + abs(off) ** 2) / abs(det) ** 2

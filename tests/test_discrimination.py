@@ -180,13 +180,32 @@ def test_sampling_same_seed_is_identical():
     assert np.array_equal(a.counts, b.counts)
 
 
-def test_sampling_worker_split_is_deterministic_and_merges():
+def test_sampling_seed_selects_the_stream():
     e = fig1_ensemble()
     p = fig1_povm()
-    a = sample_outcomes(e, p, 999, RandomSource(seed=5), workers=3)
-    b = sample_outcomes(e, p, 999, RandomSource(seed=5), workers=3)
+    a, b, c = (sample_outcomes(e, p, 999, RandomSource(seed=s)) for s in (7, 7, 8))
     assert np.array_equal(a.counts, b.counts)
+    assert not np.array_equal(a.counts, c.counts)
     assert np.all(a.counts.sum(axis=1) == 999)
+
+
+def test_sampling_accepts_the_largest_seed():
+    stats = sample_outcomes(fig1_ensemble(), fig1_povm(), 999, RandomSource(seed=2**128 - 1))
+    assert np.all(stats.counts.sum(axis=1) == 999)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_sampling_edge_trial_counts(trials):
+    stats = sample_outcomes(fig1_ensemble(), fig1_povm(), trials, RandomSource(seed=4))
+    assert stats.counts.shape == (2, 3)
+    assert stats.counts.dtype == np.int64
+    assert not stats.counts.flags.writeable
+    assert np.all(stats.counts.sum(axis=1) == trials)
+
+
+def test_sampling_rejects_negative_trials():
+    with pytest.raises(InvalidEnsemble):
+        sample_outcomes(fig1_ensemble(), fig1_povm(), -1, RandomSource(seed=1))
 
 
 def test_sampling_rejects_invalid_povm():

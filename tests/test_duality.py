@@ -46,8 +46,9 @@ def test_state_set_rejects_unnormalized():
 
 def test_state_set_rejects_dependent_columns():
     column = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    with pytest.raises(SingularStates):
+    with pytest.raises(SingularStates) as err:
         state_set(np.column_stack([column, column]))
+    assert err.value.context["condition_number"] > DEFAULT_TOL.cond_max
 
 
 # -- dual_set ---------------------------------------------------------------

@@ -23,7 +23,8 @@ from helpers import fig1_k, fig1_states, jordan_k, random_complex
 def test_render_json_roundtrips_doubles_exactly():
     values = [0.1, 1.0 / 3.0, np.pi, 1e-300, 6.02e23, -0.0, 2.0**-52]
     text = io.render_json(values)
-    assert [float(x) for x in json.loads(text)] == values
+    parsed = np.array([float(x) for x in json.loads(text)])
+    assert parsed.tobytes() == np.array(values).tobytes()  # bit for bit, sign of zero too
 
 
 def test_render_json_rejects_non_finite():
@@ -350,26 +351,27 @@ def test_cli_discriminate_trials_byte_identical(tmp_path, capsys):
     assert sum(counts[0]) == 100000
 
 
-def test_cli_discriminate_workers_change_the_stream_not_the_contract(tmp_path, capsys):
+def test_cli_discriminate_seed_selects_the_counts(tmp_path, capsys):
     k_path, ensemble_path = write_fig1_files(tmp_path)
-    argv = [
-        "discriminate",
-        "--ensemble",
-        str(ensemble_path),
-        "--k",
-        str(k_path),
-        "--trials",
-        "10000",
-        "--seed",
-        "3",
-        "--workers",
-        "4",
-        "--json",
-    ]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
+    outcomes = []
+    for seed in ("7", "7", "8"):
+        argv = [
+            "discriminate",
+            "--ensemble",
+            str(ensemble_path),
+            "--k",
+            str(k_path),
+            "--trials",
+            "10000",
+            "--seed",
+            seed,
+            "--json",
+        ]
+        assert main(argv) == 0
+        outcomes.append(json.loads(capsys.readouterr().out)["outcomes"])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0]["counts"] != outcomes[2]["counts"]
+    assert set(outcomes[0]) == {"trials_per_state", "seed", "counts"}
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])

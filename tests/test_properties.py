@@ -2,16 +2,20 @@
 
 Each example draws a dimension and a numpy seed; the seed builds the
 matrices, so a failing example is reproduced from the two integers that
-hypothesis reports.  Examples pinned with ``@example`` sit on the
-passiveness boundary at N=64, where a dilation from two independent
-square roots loses unitarity.
+hypothesis reports.  Examples pinned with ``@example`` hold N=64 in
+every run: on the passiveness boundary a dilation from two independent
+square roots loses unitarity, and a 64-operator POVM file is the
+largest JSON round trip.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from usd_kit import io
 from usd_kit.duality import build_usd_povm, dual_set, state_set
 from usd_kit.equivalence import (
     computational_basis,
@@ -74,6 +78,7 @@ def test_operator_povm_operator_reproduces_every_detection_operator(dim, seed, r
 @example(seed=0)
 @example(seed=1)
 @example(seed=2)
+@example(seed=10_000_000)  # |<e_k|v_k>|^2 = 7e-8: aligned, though psi^dag F psi is below psd_tol
 def test_dilation_of_a_boundary_operator_is_unitary(seed):
     n = 64
     boundary = normalize_passive(make_lossy(random_complex(np.random.default_rng(seed), n)))
@@ -82,3 +87,36 @@ def test_dilation_of_a_boundary_operator_is_unitary(seed):
         u = dilate_unitary(le)
         assert np.linalg.norm(u.conj().T @ u - np.eye(2 * n)) <= 1e-10
         assert np.array_equal(u[:n, :n], np.asarray(le.k))
+
+
+EDGE_DOUBLES = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1.0 / 3.0])
+
+
+def random_doubles(seed: int, shape) -> np.ndarray:
+    """Doubles over the whole exponent range, with signed zeros and subnormals mixed in."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = rng.random(shape) < 0.1
+    x[special] = rng.choice(EDGE_DOUBLES, int(special.sum()))
+    return x
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=3, deadline=None)  # rendering an N=64 POVM takes about a second
+@given(dim=DIMS, seed=SEEDS)
+@example(dim=64, seed=0)
+def test_povm_json_round_trip_is_exact(dim, seed):
+    p = build_usd_povm(state_set(random_states(seed, dim)))
+    q = io.povm_from_doc(json.loads(io.render_json(io.povm_doc(p))))
+    assert same_bits(q.operators, p.operators)
+
+
+@PROPERTY
+@given(rows=DIMS, cols=DIMS, seed=SEEDS)
+@example(rows=64, cols=64, seed=0)
+def test_matrix_json_round_trip_is_exact(rows, cols, seed):
+    m = random_doubles(seed, (rows, cols, 2)).view(complex)[..., 0]
+    assert same_bits(io.matrix_from_doc(json.loads(io.render_json(io.matrix_doc(m)))), m)

@@ -163,6 +163,22 @@ def test_fig2_report_matches_expected():
     assert report.total_error <= 1e-12
 
 
+@pytest.mark.parametrize("z", [1e6, 1e9, 1e15])
+def test_fig2_report_matches_expected_at_large_z(z):
+    sc = fig2_scenario(Fig2Params(z=z))
+    report = equal_prior_report(sc)
+    amplitude = abs(np.asarray(sc.full_unitary)[0, :2] @ sc.input_states.column(0))
+    assert abs(report.total_success - sc.expected["success_per_state"]) <= 1e-10
+    assert abs(report.total_inconclusive - sc.expected["inconclusive"]) <= 1e-10
+    assert abs(amplitude - sc.expected["beta_magnitude"]) <= 1e-10
+
+
+@pytest.mark.parametrize("z, coupling", [(float("inf"), 1.0), (float("nan"), 1.0), (1e308, 10.0)])
+def test_fig2_params_reject_non_finite_phase(z, coupling):
+    with pytest.raises(ParamOutOfRange):
+        Fig2Params(z=z, coupling=coupling)
+
+
 # -- fig1 as an embedding -----------------------------------------------------------
 
 def test_embedding_reduces_back_to_fig1():
