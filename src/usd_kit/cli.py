@@ -231,8 +231,8 @@ def _cmd_embed(args, ctx: ToleranceContext) -> int:
     k = io.matrix_from_doc(io.read_json(args.k))
     le = make_lossy(k, ctx)
     u = dilate_unitary(le, ctx)
+    residual = linalg.check_unitary(u, ctx, "dilation")
     io.write_json(args.out, io.matrix_doc(u))
-    residual = linalg.frobenius(u.conj().T @ u - np.eye(u.shape[0]))
     doc = {
         "out": str(args.out),
         "dim": u.shape[0],

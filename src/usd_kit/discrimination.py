@@ -164,13 +164,14 @@ def sample_outcomes(
     Raises
     ------
     InvalidEnsemble
-        When ``trials_per_state`` is negative.
+        When ``trials_per_state`` is negative or above ``2**63 - 1``, the
+        largest ``int64`` count.
     InvalidPovm
         When the POVM fails validation (Hermiticity, positivity or
         completeness).
     """
-    if trials_per_state < 0:
-        raise InvalidEnsemble(f"trials_per_state must be nonnegative, got {trials_per_state}")
+    if not 0 <= trials_per_state < 2**63:
+        raise InvalidEnsemble(f"trials_per_state must lie in [0, 2**63), got {trials_per_state}")
     report = validate_povm(p, ctx)
     if not report.valid:
         raise InvalidPovm(

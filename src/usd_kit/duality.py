@@ -247,23 +247,24 @@ def is_rank_one(f, ctx: ToleranceContext = DEFAULT_TOL):
 def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> ValidationReport:
     """Diagnostics for Hermiticity, positivity and completeness.
 
-    Never raises; the boolean verdict is true when every operator is
-    Hermitian within ``eq_tol``, has smallest eigenvalue at least
-    ``-psd_tol``, and the operators sum to identity within ``eq_tol``.
+    Never raises; the boolean verdict is true when every operator meets the
+    Hermiticity rule of :class:`ToleranceContext`, has smallest eigenvalue
+    at least ``-psd_tol``, and the operators sum to identity within ``eq_tol``.
     """
     ops = p.operators
-    herm = np.array([linalg.frobenius(f - f.conj().T) for f in ops])  # no stack temporary
-    # eigvalsh reads one triangle.  Within eq_tol of Hermitian, that moves no
-    # eigenvalue by more than the residual, so only a stack outside it pays
-    # for a symmetrized copy as large as the POVM itself.
-    hermitian = bool(np.all(herm <= ctx.eq_tol))
+    herm, verdicts = zip(*(linalg.hermiticity(f, ctx) for f in ops))  # no stack temporary
+    # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
+    # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
+    # so only a stack that breaks the rule pays for a symmetrized copy as
+    # large as the POVM itself.
+    hermitian = all(verdicts)
     sym = ops if hermitian else (ops + ops.conj().transpose(0, 2, 1)) / 2.0
     w = np.linalg.eigvalsh(sym)
     min_eig = w[:, 0]
     ranks = np.count_nonzero(w > ctx.psd_tol, axis=1)
     completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(p.dim))
     return ValidationReport(
-        operators=tuple(map(OperatorDiagnostics, herm.tolist(), min_eig.tolist(), ranks.tolist())),
+        operators=tuple(map(OperatorDiagnostics, herm, min_eig.tolist(), ranks.tolist())),
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
     )
@@ -272,8 +273,8 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
 def check_density_matrix(rho, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace."""
     m = linalg.require_square(rho, "density matrix")
-    herm = linalg.frobenius(m - m.conj().T)
-    if herm > ctx.eq_tol:
+    herm, hermitian = linalg.hermiticity(m, ctx)
+    if not hermitian:
         raise InvalidDensityMatrix(f"density matrix is not Hermitian (residual {herm:.3e})")
     trace = float(np.trace(m).real)
     if abs(trace - 1.0) > ctx.eq_tol:
@@ -312,16 +313,16 @@ def subspace_reduce(
     """Rotate L <= dim states into the leading L coordinates.
 
     Returns the rotated state set together with the unitary rotation that
-    was applied.  Overlaps are preserved exactly (the rotation is
-    unitary) and components beyond coordinate L vanish within ``eq_tol``.
+    was applied: the adjoint of :func:`linalg.orthonormal_frame` of the
+    states.  Overlaps are preserved exactly (the rotation is unitary) and
+    components beyond coordinate L vanish within ``eq_tol``.
 
     Raises
     ------
     RankDeficient
         When the states are not linearly independent.
     """
-    frame = linalg.gram_schmidt(s.states, ctx)
-    rotation = linalg.complete_basis(frame, ctx).conj().T
+    rotation = linalg.orthonormal_frame(s.states, ctx).conj().T
     rotated = rotation @ s.states
     reduced = StateSet(dim=s.dim, states=linalg.frozen(rotated))
     return reduced, linalg.frozen(rotation)

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     GammaTooSmall,
     NotPassive,
-    NotUnitary,
     RankMismatch,
 )
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -66,9 +65,7 @@ class ProjectiveBasis:
 def projective_basis(psi, ctx: ToleranceContext = DEFAULT_TOL) -> ProjectiveBasis:
     """Validate unitarity of the basis matrix and freeze it."""
     m = linalg.require_square(psi, "basis")
-    residual = linalg.frobenius(m.conj().T @ m - np.eye(m.shape[0]))
-    if residual > ctx.eq_tol * max(1.0, float(m.shape[0])):
-        raise NotUnitary(f"basis matrix is not unitary (residual {residual:.3e})")
+    linalg.check_unitary(m, ctx, "basis matrix")
     return ProjectiveBasis(psi=linalg.frozen(m))
 
 
@@ -211,13 +208,8 @@ def dyadic_form(
         raise DimensionMismatch(
             f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
         )
-    rows = basis.psi.conj().T @ np.asarray(le.k)
-    terms = []
-    for i in range(le.dim):
-        beta_raw = rows[i].conj()
-        beta, phase = linalg.fix_column_phase(beta_raw, ctx)
-        terms.append((np.conj(phase), basis.vector(i).copy(), beta))
-    return terms
+    betas, phases = linalg.phase_columns(np.asarray(le.k).conj().T @ basis.psi, ctx)
+    return list(zip(phases.conj(), basis.psi.T.copy(), betas.T))
 
 
 def discriminable_states(
@@ -275,9 +267,7 @@ def reduced_evolution(
     """
     um = linalg.require_square(u, "unitary")
     n = um.shape[0]
-    residual = linalg.frobenius(um.conj().T @ um - np.eye(n))
-    if residual > ctx.eq_tol * max(1.0, float(n)):
-        raise NotUnitary(f"matrix is not unitary (residual {residual:.3e})")
+    linalg.check_unitary(um, ctx, "matrix")
     if not 0 < subspace_dim <= n:
         raise DimensionMismatch(
             f"subspace dimension {subspace_dim} out of range for size {n}"

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, is_rank_one, state_set, validate_povm
+from .duality import PovmSet, is_rank_one, state_set, validate_povm
 from .discrimination import StateEnsemble, state_ensemble
 from .errors import InvalidPovm, ParseError
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -77,25 +77,33 @@ def _entry_pairs(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A JSON number is finite when it is a finite double: NaN, infinities
+    and integers beyond double range are not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _parse_complex_rows(data, rows: int, cols: int, where: str) -> np.ndarray:
+    """The ``rows x cols`` complex matrix of checked ``[re, im]`` pairs; sized
+    by the data, never by the declared shape alone."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
-    out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}: row {i} must have {cols} entries")
         for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
                 raise ParseError(f"{where}: entry ({i},{j}) must be a [re, im] pair")
-            re, im = float(entry[0]), float(entry[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
+            if not (_is_finite(entry[0]) and _is_finite(entry[1])):
                 raise ParseError(f"{where}: entry ({i},{j}) is not finite")
-            out[i, j] = complex(re, im)
-    return out
+    return np.array(data, dtype=float).view(complex)[..., 0]
 
 
 def _require_keys(doc, keys: set[str], where: str) -> None:
@@ -154,16 +162,11 @@ def ensemble_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble
         columns.append(col[:, 0])
     priors = doc["priors"]
     if not isinstance(priors, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(float(x))
-        for x in priors
+        _is_number(x) and _is_finite(x) for x in priors
     ):
         raise ParseError("ensemble: priors must be a list of finite numbers")
     states = state_set(np.column_stack(columns), ctx)
     return state_ensemble(states, [float(x) for x in priors], ctx)
-
-
-def states_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
-    return ensemble_from_doc(doc, ctx).states
 
 
 # -- POVM documents ------------------------------------------------------------

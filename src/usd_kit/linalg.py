@@ -35,7 +35,11 @@ class ToleranceContext:
     Attributes
     ----------
     eq_tol : float
-        Bound on equality residuals in the Frobenius norm.
+        Bound on equality residuals in the Frobenius norm.  Two rules built
+        on it are each written once in this module: a matrix ``X`` is
+        Hermitian when ``||X - X^dag||_F <= eq_tol * max(1, ||X||_F)``
+        (:func:`hermiticity`), and an ``n x n`` matrix ``Q`` is unitary when
+        ``||Q^dag Q - I||_F <= eq_tol * max(1, n)`` (:func:`check_unitary`).
     psd_tol : float
         Slack allowed below zero for eigenvalues of nominally positive
         operators (round-off makes exactly singular operators dip slightly
@@ -101,15 +105,34 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def _check_hermitian(h: np.ndarray, ctx: ToleranceContext, name: str) -> None:
-    scale = max(frobenius(h), 1.0)
+def hermiticity(h: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[float, bool]:
+    """Residual ``||h - h^dag||_F`` and whether it meets the Hermiticity rule
+    ``residual <= eq_tol * max(1, ||h||_F)``; ``||h||_F`` is computed only
+    when the residual exceeds ``eq_tol``.
+    """
     residual = frobenius(h - h.conj().T)
-    if residual > ctx.eq_tol * scale:
+    return residual, residual <= ctx.eq_tol or residual <= ctx.eq_tol * frobenius(h)
+
+
+def _check_hermitian(h: np.ndarray, ctx: ToleranceContext, name: str) -> None:
+    residual, ok = hermiticity(h, ctx)
+    if not ok:
         raise NotHermitian(
             f"{name} is not Hermitian: residual {residual:.3e} exceeds "
-            f"{ctx.eq_tol:.1e} * {scale:.3e}",
+            f"{ctx.eq_tol:.1e} * max(1, ||h||_F)",
             residual=residual,
         )
+
+
+def check_unitary(q: np.ndarray, ctx: ToleranceContext, name: str) -> float:
+    """Residual ``||q^dag q - I||_F`` of an ``n x n`` matrix; raises ``NotUnitary``
+    when it breaks the unitarity rule ``residual <= eq_tol * max(1, n)``.
+    """
+    n = q.shape[0]
+    residual = frobenius(q.conj().T @ q - np.eye(n))
+    if residual > ctx.eq_tol * max(1.0, float(n)):
+        raise NotUnitary(f"{name} is not unitary (residual {residual:.3e})", residual=residual)
+    return residual
 
 
 def hermitian_eigen(h, ctx: ToleranceContext = DEFAULT_TOL) -> HermitianEigen:
@@ -221,81 +244,47 @@ def psd_sqrt(f, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def fix_column_phase(v: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
-    """Rotate ``v`` so its first nonzero entry is real positive.
+def phase_columns(m: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each column of ``m`` so its first entry above ``eq_tol`` in
+    modulus is real positive.
 
-    Returns the rotated vector and the removed unit-modulus phase factor,
-    so ``v = phase * rotated``.
+    Returns the rotated columns and the removed unit-modulus phases, so
+    ``m = rotated * phases``; a column with no such entry keeps phase one.
     """
-    idx = np.flatnonzero(np.abs(v) > ctx.eq_tol)
-    if idx.size == 0:
-        return v.copy(), 1.0 + 0.0j
-    pivot = v[idx[0]]
-    phase = pivot / abs(pivot)
-    return v * np.conj(phase), complex(phase)
+    big = np.abs(m) > ctx.eq_tol
+    pivots = np.where(big.any(axis=0), m[big.argmax(axis=0), np.arange(m.shape[1])], 1.0)
+    phases = pivots / np.abs(pivots)
+    return m * phases.conj(), phases
 
 
-def gram_schmidt(vectors, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormalize the columns of ``vectors`` (stable, re-orthogonalized).
+def orthonormal_frame(vectors, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+    """Unitary ``n x n`` frame from one Householder QR of the ``n x L`` columns.
 
-    The span of the first ``k`` output columns equals the span of the
-    first ``k`` inputs for every ``k``.  Each output column's first
-    nonzero entry is made real positive so results are deterministic.
+    For every ``k <= L`` the first ``k`` frame columns span the first ``k``
+    input columns; the trailing ``n - L`` columns complete the frame.  Each
+    column is phased by :func:`phase_columns`, so results are deterministic.
 
     Raises
     ------
     RankDeficient
-        When a column is (numerically) linearly dependent on its
-        predecessors.
+        When column ``j`` is (numerically) linearly dependent on its
+        predecessors, ``|R_jj| <= eq_tol * max(||m_j||, 1)``, or ``L > n``.
     """
     m = as_matrix(vectors, "vectors")
     n, cols = m.shape
-    q = np.zeros((n, cols), dtype=complex)
-    for j in range(cols):
-        v = m[:, j].copy()
-        norm_in = frobenius(v)
-        for _ in range(2):  # second pass controls cancellation error
-            if j:
-                v -= q[:, :j] @ (q[:, :j].conj().T @ v)
-        norm_out = frobenius(v)
-        if norm_out <= ctx.eq_tol * max(norm_in, 1.0):
-            raise RankDeficient(
-                f"column {j} is linearly dependent on earlier columns",
-                column=j,
-            )
-        v /= norm_out
-        q[:, j], _ = fix_column_phase(v, ctx)
-    return q
+    q, r = np.linalg.qr(m, mode="complete")
+    diag = np.abs(np.diagonal(r))
+    norms = np.maximum(np.linalg.norm(m[:, : diag.size], axis=0), 1.0)
+    dependent = np.flatnonzero(diag <= ctx.eq_tol * norms)
+    if dependent.size or cols > n:
+        j = int(dependent[0]) if dependent.size else n
+        raise RankDeficient(f"column {j} is linearly dependent on earlier columns", column=j)
+    return phase_columns(q, ctx)[0]
 
 
-def complete_basis(q, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Extend orthonormal columns ``q`` (n x L) to a full n x n unitary.
-
-    Completion columns are drawn deterministically from the computational
-    basis vectors that survive orthogonalization.
+def gram_schmidt(vectors, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormalize the columns of ``vectors``: the leading ``L`` columns of
+    :func:`orthonormal_frame`, with its spans, phases and ``RankDeficient``.
     """
-    qm = as_matrix(q, "orthonormal columns")
-    n, l = qm.shape
-    if l > n:
-        raise DimensionMismatch(f"cannot have {l} orthonormal columns in dimension {n}")
-    residual = frobenius(qm.conj().T @ qm - np.eye(l))
-    if residual > ctx.eq_tol * max(1.0, float(l)):
-        raise NotUnitary(f"columns are not orthonormal (residual {residual:.3e})")
-    full = np.zeros((n, n), dtype=complex)
-    full[:, :l] = qm
-    filled = l
-    for j in range(n):
-        if filled == n:
-            break
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            v -= full[:, :filled] @ (full[:, :filled].conj().T @ v)
-        norm = frobenius(v)
-        if norm <= 1e-6:  # basis vector already inside the span
-            continue
-        full[:, filled], _ = fix_column_phase(v / norm, ctx)
-        filled += 1
-    if filled != n:
-        raise RankDeficient("failed to complete the orthonormal basis")
-    return full
+    m = as_matrix(vectors, "vectors")
+    return orthonormal_frame(m, ctx)[:, : m.shape[1]]

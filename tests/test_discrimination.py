@@ -194,7 +194,7 @@ def test_sampling_accepts_the_largest_seed():
     assert np.all(stats.counts.sum(axis=1) == 999)
 
 
-@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize("trials", [0, 1, 2**63 - 1])
 def test_sampling_edge_trial_counts(trials):
     stats = sample_outcomes(fig1_ensemble(), fig1_povm(), trials, RandomSource(seed=4))
     assert stats.counts.shape == (2, 3)
@@ -206,6 +206,11 @@ def test_sampling_edge_trial_counts(trials):
 def test_sampling_rejects_negative_trials():
     with pytest.raises(InvalidEnsemble):
         sample_outcomes(fig1_ensemble(), fig1_povm(), -1, RandomSource(seed=1))
+
+
+def test_sampling_rejects_trials_beyond_int64():
+    with pytest.raises(InvalidEnsemble):
+        sample_outcomes(fig1_ensemble(), fig1_povm(), 2**63, RandomSource(seed=1))
 
 
 def test_sampling_rejects_invalid_povm():

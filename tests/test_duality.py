@@ -4,6 +4,7 @@ import pytest
 from usd_kit.duality import (
     StateSet,
     build_usd_povm,
+    check_density_matrix,
     dual_set,
     outcome_probabilities,
     state_set,
@@ -22,7 +23,7 @@ from usd_kit.errors import (
 )
 from usd_kit.linalg import DEFAULT_TOL
 
-from helpers import fig1_states, random_density, random_state_set
+from helpers import fig1_states, random_complex, random_density, random_state_set
 
 
 def frob(a):
@@ -181,6 +182,42 @@ def test_validate_detects_broken_completeness():
     report = validate_povm(PovmSet(dim=2, operators=(f1, 1.5 * f2, f3)))
     assert not report.valid
     assert report.completeness_residual > 0.1
+
+
+# -- Hermiticity rule: ||X - X^dag||_F <= eq_tol * max(1, ||X||_F) ----------------
+
+def anti_hermitian(n, residual):
+    """``i t S`` for a real symmetric, zero-diagonal, unit-norm ``S``: traceless,
+    with Hermiticity residual ``residual``."""
+    s = np.ones((n, n)) - np.eye(n)
+    return 0.5j * residual * s / np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("residual, valid", [(3e-10, True), (9e-10, False)])
+def test_validate_scales_the_hermiticity_bound_with_the_operator(residual, valid):
+    n = 64
+    m = random_complex(np.random.default_rng(3), n)
+    ops = np.array(build_usd_povm(state_set(m / np.linalg.norm(m, axis=0))).operators)
+    assert 7.8 < np.linalg.norm(ops[-1]) < 7.9  # the bound on the inconclusive operator is 7.85e-10
+    e = anti_hermitian(n, residual)
+    ops[-1] += e
+    ops[:n] -= e / n  # completeness holds; each detection operator's residual is residual / 64
+    report = validate_povm(PovmSet(dim=n, operators=ops))
+    assert abs(report.operators[-1].hermiticity_residual - residual) <= 1e-3 * residual
+    assert report.completeness_residual <= DEFAULT_TOL.eq_tol
+    assert min(d.min_eigenvalue for d in report.operators) >= -DEFAULT_TOL.psd_tol
+    assert report.valid is valid
+
+
+@pytest.mark.parametrize("residual, valid", [(0.5e-10, True), (2e-10, False)])
+def test_density_matrix_hermiticity_bound_is_eq_tol(residual, valid):
+    rho = random_density(np.random.default_rng(89), 3) + anti_hermitian(3, residual)
+    assert np.linalg.norm(rho) <= 1.0  # so the rule's scale max(1, ||rho||_F) is 1
+    if valid:
+        check_density_matrix(rho)
+    else:
+        with pytest.raises(InvalidDensityMatrix):
+            check_density_matrix(rho)
 
 
 # -- outcome_probabilities ---------------------------------------------------------

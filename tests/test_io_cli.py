@@ -1,7 +1,14 @@
 import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from usd_kit import io
 from usd_kit.cli import main
@@ -15,7 +22,7 @@ from usd_kit.equivalence import (
 )
 from usd_kit.errors import InvalidPovm, ParseError
 
-from helpers import fig1_k, fig1_states, jordan_k, random_complex
+from helpers import fig1_k, fig1_states, jordan_k, random_complex, random_passive
 
 
 # -- JSON rendering ---------------------------------------------------------
@@ -392,6 +399,128 @@ def test_cli_discriminate_rejects_seed_outside_philox_keys(tmp_path, capsys, see
     assert main(argv) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "param_out_of_range"
+
+
+@pytest.mark.parametrize("trials, code", [(2**63 - 1, 0), (2**63, 2), (10**20, 2)])
+def test_cli_discriminate_trials_up_to_int64(tmp_path, capsys, trials, code):
+    k_path, ensemble_path = write_fig1_files(tmp_path)
+    argv = ["discriminate", "--ensemble", str(ensemble_path), "--k", str(k_path), "--json"]
+    assert main(argv + ["--trials", str(trials)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert json.loads(captured.err)["code"] == "invalid_ensemble"
+    else:
+        assert [sum(row) for row in json.loads(captured.out)["outcomes"]["counts"]] == [trials, trials]
+
+
+HUGE = 10**400  # a JSON integer beyond double range
+
+
+def fig1_povm_doc():
+    return io.povm_doc(build_usd_povm(state_set(fig1_states())))
+
+
+def fig1_k_doc():
+    return io.matrix_doc(fig1_k())
+
+
+def replace_node(doc, path, value):
+    """``doc`` with its node at ``path`` (a tuple of keys) replaced by ``value``."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def cli_argv(command: str, file: Path) -> list[str]:
+    """``usd-kit <command> <file>``, with an ``--out`` beside the file for ``embed``."""
+    out = ["--out", str(file.with_name("out.json"))] if command.startswith("embed") else []
+    return [*command.split(), str(file), *out]
+
+
+@pytest.mark.parametrize(
+    "command, doc, path, needle",
+    [
+        ("embed --k", fig1_k_doc, ("data", 1, 0, 0), "entry (1,0)"),
+        ("embed --k", fig1_k_doc, ("cols",), "row 0"),
+        ("validate --povm", fig1_povm_doc, ("operators", 2, 0, 1, 1), "operator 3: entry (0,1)"),
+        ("dual --states", fig1_ensemble_doc, ("states", 1, 1, 0), "state 1: entry (1,0)"),
+        ("dual --states", fig1_ensemble_doc, ("priors", 0), "priors"),
+    ],
+    ids=["matrix-entry", "matrix-cols", "povm-entry", "ensemble-state-entry", "priors"],
+)
+def test_cli_huge_json_integer_is_a_parse_error(tmp_path, capsys, command, doc, path, needle):
+    doc = replace_node(json.loads(io.render_json(doc())), path, HUGE)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert main(cli_argv(command, file)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "parse_error"
+    assert needle in err["message"]
+
+
+# -- malformed documents always leave through the error envelope --------------------
+
+LEAVES = [HUGE, -HUGE, True, "1.0", math.nan]
+
+
+def json_nodes(doc, path=()):
+    """``(path, value)`` for every node of a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, item in items:
+        yield from json_nodes(item, path + (key,))
+
+
+def malformed(node, mutation):
+    """A leaf of the wrong kind, a list one element short (ragged), or one more level of nesting."""
+    if mutation == "ragged" and isinstance(node, list):
+        return node[:-1]
+    if mutation in ("ragged", "nested"):
+        return [node]
+    return mutation
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["matrix", "ensemble", "povm"]),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    mutation=st.sampled_from(LEAVES + ["ragged", "nested"]),
+    node=st.integers(0, 2**16),
+)
+@example(kind="matrix", dim=2, seed=0, mutation=HUGE, node=6)  # real part of entry (0,0)
+@example(kind="matrix", dim=2, seed=0, mutation=HUGE, node=2)  # cols
+@example(kind="ensemble", dim=1, seed=0, mutation=HUGE, node=8)  # the prior
+@example(kind="povm", dim=1, seed=0, mutation=-HUGE, node=6)  # real part of F_1
+def test_cli_malformed_documents_exit_through_the_envelope(kind, dim, seed, mutation, node):
+    rng = np.random.default_rng(seed)
+    states = random_complex(rng, dim)
+    states /= np.linalg.norm(states, axis=0)
+    if kind == "matrix":
+        doc, command = io.matrix_doc(random_passive(rng, dim)), "embed --k"
+    elif kind == "ensemble":
+        ensemble = state_ensemble(state_set(states), np.full(dim, 1.0 / dim))
+        doc, command = io.ensemble_doc(ensemble), "dual --states"
+    else:
+        doc, command = io.povm_doc(build_usd_povm(state_set(states))), "validate --povm"
+    doc = json.loads(io.render_json(doc))
+    nodes = list(json_nodes(doc))
+    path, value = nodes[node % len(nodes)]
+    doc = replace_node(doc, path, malformed(value, mutation))
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "doc.json"
+        file.write_text(json.dumps(doc))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(cli_argv(command, file))
+    assert code in (1, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"code", "message", "context"}
 
 
 def test_cli_example_fig1_json(capsys):

@@ -239,11 +239,3 @@ def test_gram_schmidt_preserves_leading_spans():
         lead = q[:, : j + 1]
         residual = m[:, j] - lead @ (lead.conj().T @ m[:, j])
         assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(m[:, j])
-
-
-def test_complete_basis_is_unitary():
-    rng = np.random.default_rng(41)
-    q = linalg.gram_schmidt(random_complex(rng, 5, 2))
-    full = linalg.complete_basis(q)
-    assert frob(full.conj().T @ full - np.eye(5)) < 1e-12
-    assert np.array_equal(full[:, :2], q)

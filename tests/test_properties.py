@@ -4,8 +4,8 @@ Each example draws a dimension and a numpy seed; the seed builds the
 matrices, so a failing example is reproduced from the two integers that
 hypothesis reports.  Examples pinned with ``@example`` hold N=64 in
 every run: on the passiveness boundary a dilation from two independent
-square roots loses unitarity, and a 64-operator POVM file is the
-largest JSON round trip.
+square roots loses unitarity, a 64-operator POVM file is the largest
+JSON round trip, and a 64 x 64 frame is the largest QR.
 """
 
 import json
@@ -16,7 +16,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from usd_kit import io
-from usd_kit.duality import build_usd_povm, dual_set, state_set
+from usd_kit.duality import StateSet, build_usd_povm, dual_set, state_set, subspace_reduce
 from usd_kit.equivalence import (
     computational_basis,
     dilate_unitary,
@@ -26,8 +26,8 @@ from usd_kit.equivalence import (
     povm_from_lossy,
     projective_basis,
 )
-from usd_kit.errors import DegenerateBasisAlignment, InfeasibleScaling
-from usd_kit.linalg import DEFAULT_TOL
+from usd_kit.errors import DegenerateBasisAlignment, InfeasibleScaling, RankDeficient
+from usd_kit.linalg import DEFAULT_TOL, gram_schmidt
 
 from helpers import random_complex, random_unitary
 
@@ -87,6 +87,28 @@ def test_dilation_of_a_boundary_operator_is_unitary(seed):
         u = dilate_unitary(le)
         assert np.linalg.norm(u.conj().T @ u - np.eye(2 * n)) <= 1e-10
         assert np.array_equal(u[:n, :n], np.asarray(le.k))
+
+
+@PROPERTY
+@given(dim=DIMS, seed=SEEDS)
+@example(dim=64, seed=0)
+def test_subspace_rotation_is_the_householder_frame(dim, seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, dim + 1))
+    m = random_complex(rng, dim, count)
+    m /= np.linalg.norm(m, axis=0)
+    reduced, rotation = subspace_reduce(state_set(m))
+    out = np.asarray(reduced.states)
+    assert np.linalg.norm(rotation.conj().T @ rotation - np.eye(dim)) <= 1e-12 * dim
+    assert np.abs(out[count:]).max(initial=0.0) <= 1e-10
+    assert np.linalg.norm(out.conj().T @ out - m.conj().T @ m) <= 1e-10
+    assert np.array_equal(rotation.conj().T[:, :count], gram_schmidt(m))
+    i = int(rng.integers(count))
+    j = int(rng.integers(i + 1, count + 1))
+    duplicated = np.insert(m, j, m[:, i], axis=1)  # column j repeats column i
+    with pytest.raises(RankDeficient) as err:
+        subspace_reduce(StateSet(dim=dim, states=duplicated))
+    assert err.value.context["column"] == j
 
 
 EDGE_DOUBLES = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1.0 / 3.0])
