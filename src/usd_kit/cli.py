@@ -295,15 +295,9 @@ def _cmd_example(args, ctx: ToleranceContext) -> int:
         u = np.asarray(scenario.full_unitary)
         doc["unitary_dim"] = u.shape[0]
         if scenario.name == "fig1-embed":
-            mass = 0.0
-            for i in range(n):
-                padded = np.zeros(u.shape[0], dtype=complex)
-                padded[: scenario.input_states.dim] = scenario.input_states.column(i)
-                out = u @ padded
-                mass += float(ensemble.priors[i]) * float(
-                    np.sum(np.abs(out[scenario.input_states.dim :]) ** 2)
-                )
-            doc["ancilla_mass"] = mass
+            d = scenario.input_states.dim
+            leaked = u[d:, :d] @ np.asarray(scenario.input_states.states)
+            doc["ancilla_mass"] = float(ensemble.priors @ np.sum(np.abs(leaked) ** 2, axis=0))
     if args.json:
         print(io.render_json(doc))
     else:

@@ -97,8 +97,8 @@ def state_ensemble(states: StateSet, priors, ctx: ToleranceContext = DEFAULT_TOL
         raise InvalidEnsemble(
             f"expected {states.count} priors, got shape {p.shape}"
         )
-    if np.any(p < 0.0):
-        raise InvalidEnsemble("priors must be nonnegative")
+    if not np.all((p >= 0.0) & np.isfinite(p)):
+        raise InvalidEnsemble("priors must be finite and nonnegative")
     total = float(p.sum())
     if abs(total - 1.0) > PRIOR_TOL:
         raise InvalidEnsemble(f"priors sum to {total!r}, expected 1")
@@ -164,14 +164,15 @@ def sample_outcomes(
     Raises
     ------
     InvalidEnsemble
-        When ``trials_per_state`` is negative or above ``2**63 - 1``, the
-        largest ``int64`` count.
+        When ``trials_per_state`` is not an integer (``bool`` included), or is
+        negative or above ``2**63 - 1``, the largest ``int64`` count.
     InvalidPovm
         When the POVM fails validation (Hermiticity, positivity or
         completeness).
     """
-    if not 0 <= trials_per_state < 2**63:
-        raise InvalidEnsemble(f"trials_per_state must lie in [0, 2**63), got {trials_per_state}")
+    trials = trials_per_state
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or not 0 <= trials < 2**63:
+        raise InvalidEnsemble(f"trials_per_state must be an integer in [0, 2**63), got {trials!r}")
     report = validate_povm(p, ctx)
     if not report.valid:
         raise InvalidPovm(
@@ -179,8 +180,8 @@ def sample_outcomes(
             completeness_residual=report.completeness_residual,
         )
     probs = _per_state_probabilities(e, p, ctx)
-    counts = rng.generator().multinomial(trials_per_state, probs / probs.sum(axis=1, keepdims=True))
-    return OutcomeStats(counts=linalg.frozen(counts), trials=trials_per_state, seed=rng.seed)
+    counts = rng.generator().multinomial(trials, probs / probs.sum(axis=1, keepdims=True))
+    return OutcomeStats(counts=linalg.frozen(counts), trials=trials, seed=rng.seed)
 
 
 def post_measurement_state(rho, f, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

@@ -204,8 +204,8 @@ def build_usd_povm(
         lambdas = np.asarray(strategy, dtype=float)
         if lambdas.shape != (n,):
             raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}")
-        if np.any(lambdas <= 0.0):
-            raise ParamOutOfRange("scaling weights must be strictly positive")
+        if not np.all((lambdas > 0.0) & np.isfinite(lambdas)):
+            raise ParamOutOfRange("scaling weights must be finite and strictly positive")
     p = rank_one_povm(ops, duals.T, linalg.frozen(lambdas))
     if not isinstance(strategy, str):
         min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
@@ -223,25 +223,23 @@ def operator_rank(f, ctx: ToleranceContext = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(w > ctx.psd_tol))
 
 
-def top_two_singular_values(f, ctx: ToleranceContext = DEFAULT_TOL):
-    """Largest and second singular value (zero for 1 x 1) of a Hermitian
-    operator, or of each operator of a stack ``(k, N, N)``: the moduli of
-    its eigenvalues, which avoid squaring round-off through the Gram matrix.
+def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL):
+    """Rank-one rule for operators ``F_k`` with pivots ``p_k``, given the rows
+    ``r_k = p_k^dag F_k`` and weights ``w_k = Re(r_k p_k)``.
+
+    Returns the norms ``||F_k||_F``, whether each pivot is aligned
+    (``w_k > psd_tol * ||F_k||_F``) and whether each ``F_k`` passes: aligned,
+    with defect ``||F_k - r_k^dag r_k / w_k||_F`` within that same bound.
+    The defect is a Schur complement, so by Cauchy interlacing it bounds
+    ``|lambda_2(F_k)|`` and ``-lambda_min(F_k)``: a rank-two operator never
+    passes.  It is formed one operator at a time, with no stack temporary.
     """
-    sv = np.sort(np.abs(linalg.hermitian_eigvals(f, ctx)), axis=-1)
-    second = sv[..., -2] if sv.shape[-1] > 1 else np.zeros_like(sv[..., -1])
-    return sv[..., -1], second
-
-
-def is_rank_one(f, ctx: ToleranceContext = DEFAULT_TOL):
-    """True when the second singular value is at most ``psd_tol`` times the first.
-
-    For a stack ``(k, N, N)`` the result is a boolean array, one verdict
-    per operator.
-    """
-    top, second = top_two_singular_values(f, ctx)
-    verdict = second <= ctx.psd_tol * top
-    return verdict if verdict.ndim else bool(verdict)
+    norms = np.array([linalg.frobenius(fk) for fk in f])
+    bound = ctx.psd_tol * norms
+    aligned = weights > bound  # divide by w_k only where aligned
+    passed = np.array([ok and linalg.frobenius(fk - np.outer(r.conj(), r / w)) <= b
+                       for fk, r, w, ok, b in zip(f, rows, weights, aligned, bound)])
+    return norms, aligned, passed
 
 
 def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> ValidationReport:

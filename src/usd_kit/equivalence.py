@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, operator_rank, rank_one_povm, state_set
-from .duality import top_two_singular_values
+from .duality import PovmSet, StateSet, operator_rank, rank_one_povm, rank_one_rule, state_set
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
@@ -143,20 +142,21 @@ def lossy_from_povm(
     """Evolution operator realizing a rank-one POVM in the given basis.
 
     Implements ``K = sum_i Pi_i F_i e^{i phi_i} / sqrt(tr(F_i Pi_i))``:
-    row i of ``Psi^dag K`` is
-    ``e^{i phi_i} psi_i^dag F_i / sqrt(psi_i^dag F_i psi_i)``, and all rows
-    come from one expression after one batched rank-one test.  The
-    resulting operator reproduces every ``F_i`` exactly and is passive
-    (its Gram matrix is ``I - F_{N+1}``); the phases are free parameters
-    that never affect measurement statistics.
+    row i of ``Psi^dag K`` is ``e^{i phi_i} r_i / sqrt(w_i)`` with
+    ``r_i = psi_i^dag F_i`` and ``w_i = r_i psi_i``, all rows from one
+    expression.  As ``K^dag Pi_i K = r_i^dag r_i / w_i``, the
+    :func:`duality.rank_one_rule` pivoted on ``psi_i`` certifies that K
+    reproduces every ``F_i`` within ``psd_tol * ||F_i||_F``.  K is passive
+    (its Gram matrix is ``I - F_{N+1}``); the phases never affect statistics.
 
     Raises
     ------
     RankMismatch
-        If some detection operator is not rank one.
+        If some detection operator is zero (``||F_i||_F <= psd_tol``) or
+        is not reproduced within ``psd_tol * ||F_i||_F``.
     DegenerateBasisAlignment
         If a basis projector is orthogonal to its detection operator:
-        ``psi_i^dag F_i psi_i <= psd_tol * ||F_i||``.
+        ``psi_i^dag F_i psi_i <= psd_tol * ||F_i||_F``.
     """
     n = p.dim
     if basis.dim != n:
@@ -170,22 +170,23 @@ def lossy_from_povm(
         if phi.shape != (n,):
             raise DimensionMismatch(f"expected {n} phases, got shape {phi.shape}")
     f = p.operators[:n]
-    top, second = top_two_singular_values(f, ctx)
-    bad = np.flatnonzero((second > ctx.psd_tol * top) | (top <= ctx.psd_tol))
-    if bad.size:
-        raise RankMismatch(
-            f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1
-        )
     psi = basis.psi
     rows = np.einsum("ik,kij->kj", psi.conj(), f)  # row k is psi_k^dag F_k
     weights = np.einsum("ij,ji->i", rows, psi).real
-    bad = np.flatnonzero(weights <= ctx.psd_tol * top)
+    norms, aligned, passed = rank_one_rule(f, rows, weights, ctx)
+    bad = np.flatnonzero(norms <= ctx.psd_tol)
+    if bad.size:
+        raise RankMismatch(f"detection operator {bad[0] + 1} is zero", operator=int(bad[0]) + 1)
+    bad = np.flatnonzero(~aligned)
     if bad.size:
         raise DegenerateBasisAlignment(
             f"basis vector {bad[0] + 1} is orthogonal to detection operator {bad[0] + 1}",
             operator=int(bad[0]) + 1,
             weight=float(weights[bad[0]]),
         )
+    bad = np.flatnonzero(~passed)
+    if bad.size:
+        raise RankMismatch(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     coefficients = np.exp(1j * phi) / np.sqrt(weights)
     return make_lossy(psi @ (coefficients[:, None] * rows), ctx)
 

@@ -20,6 +20,7 @@ from .errors import (
     NotHermitian,
     NotPositive,
     NotUnitary,
+    ParamOutOfRange,
     RankDeficient,
     SingularMatrix,
 )
@@ -151,14 +152,12 @@ def hermitian_eigen(h, ctx: ToleranceContext = DEFAULT_TOL) -> HermitianEigen:
 
 
 def hermitian_eigvals(h, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues, descending, of a Hermitian matrix or of each matrix of a
-    stack ``(k, N, N)`` in one LAPACK call; raises as :func:`hermitian_eigen`
-    does, for the first matrix that fails its checks.
+    """Eigenvalues, descending, of a Hermitian matrix; raises as
+    :func:`hermitian_eigen` does.
     """
-    hm = np.asarray(h, dtype=complex)
-    for f in hm.reshape((-1,) + hm.shape[-2:]):  # one matrix at a time: no stack temporaries
-        _check_hermitian(require_square(f, "Hermitian input"), ctx, "eigen input")
-    return np.linalg.eigvalsh(hm)[..., ::-1]
+    hm = require_square(h, "Hermitian input")
+    _check_hermitian(hm, ctx, "eigen input")
+    return np.linalg.eigvalsh(hm)[::-1]
 
 
 def singular_values(k, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
@@ -212,8 +211,11 @@ def unitary_exp(h, t: float, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     """Unitary propagator ``exp(-i h t)`` for Hermitian ``h``.
 
     Built from the spectral decomposition, so the result is unitary to
-    within ``eq_tol`` by construction.
+    within ``eq_tol`` by construction; a non-finite ``t`` raises
+    ``ParamOutOfRange``.
     """
+    if not np.isfinite(t):
+        raise ParamOutOfRange(f"evolution time must be finite, got {t!r}")
     eig = hermitian_eigen(h, ctx)
     phases = np.exp(-1j * eig.eigenvalues * float(t))
     v = eig.eigenvectors

@@ -51,6 +51,12 @@ def test_priors_must_be_nonnegative():
         state_ensemble(state_set(np.eye(2)), [1.5, -0.5])
 
 
+@pytest.mark.parametrize("priors", [[np.nan, np.nan], [np.nan, 1.0]])
+def test_priors_must_be_finite(priors):
+    with pytest.raises(InvalidEnsemble):
+        state_ensemble(state_set(np.eye(2)), priors)
+
+
 def test_density_matrix_single_state():
     e = state_ensemble(state_set(np.array([[1.0], [0.0]])), [1.0])
     assert np.array_equal(density_matrix(e), np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -211,6 +217,18 @@ def test_sampling_rejects_negative_trials():
 def test_sampling_rejects_trials_beyond_int64():
     with pytest.raises(InvalidEnsemble):
         sample_outcomes(fig1_ensemble(), fig1_povm(), 2**63, RandomSource(seed=1))
+
+
+@pytest.mark.parametrize("trials", [10.5, 10.0, True, "10", None])
+def test_sampling_rejects_non_integer_trials(trials):
+    with pytest.raises(InvalidEnsemble):
+        sample_outcomes(fig1_ensemble(), fig1_povm(), trials, RandomSource(seed=1))
+
+
+def test_sampling_accepts_numpy_integer_trials():
+    stats = sample_outcomes(fig1_ensemble(), fig1_povm(), np.int64(10), RandomSource(seed=1))
+    assert stats.trials == 10
+    assert np.all(stats.counts.sum(axis=1) == 10)
 
 
 def test_sampling_rejects_invalid_povm():

@@ -124,6 +124,12 @@ def test_explicit_scaling_must_be_positive():
         build_usd_povm(state_set(fig1_states()), strategy=[0.4, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_explicit_scaling_must_be_finite(bad):
+    with pytest.raises(ParamOutOfRange):
+        build_usd_povm(state_set(fig1_states()), strategy=[bad, 0.1])
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ParamOutOfRange):
         build_usd_povm(state_set(fig1_states()), strategy="optimal")

@@ -135,6 +135,28 @@ def test_orthogonal_basis_alignment_rejected():
         lossy_from_povm(PovmSet(dim=2, operators=ops), computational_basis(2))
 
 
+def test_weak_second_eigenvalue_on_a_poorly_aligned_pivot_rejected():
+    # lambda_2/lambda_1 = 1e-10 is below psd_tol, but |<e_1|v>|^2 = 1e-7 magnifies
+    # it: the K rebuilt from psi_1^dag F_1 would reproduce F_1 only to 1e-3
+    a = 1e-7
+    v = np.array([np.sqrt(a), np.sqrt(1.0 - a)])
+    u = np.array([np.sqrt(1.0 - a), -np.sqrt(a)])
+    f1 = 0.5 * (np.outer(v, v) + 1e-10 * np.outer(u, u))
+    f2 = 0.5 * np.outer(u, u)
+    p = PovmSet(dim=2, operators=(f1, f2, np.eye(2) - f1 - f2))
+    assert validate_povm(p).valid
+    with pytest.raises(RankMismatch) as err:
+        lossy_from_povm(p, computational_basis(2))
+    assert err.value.context["operator"] == 1
+
+
+def test_zero_detection_operator_rejected():
+    ops = (np.zeros((2, 2)), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    with pytest.raises(RankMismatch) as err:
+        lossy_from_povm(PovmSet(dim=2, operators=ops), computational_basis(2))
+    assert err.value.context["operator"] == 1
+
+
 # -- dyadic_form ----------------------------------------------------------------------
 
 def test_dyadic_form_identity():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from usd_kit import io
 from usd_kit.cli import main
 from usd_kit.discrimination import state_ensemble
-from usd_kit.duality import build_usd_povm, state_set
+from usd_kit.duality import PovmSet, build_usd_povm, state_set
 from usd_kit.equivalence import (
     computational_basis,
     make_lossy,
@@ -126,6 +126,19 @@ def test_povm_doc_rejects_incomplete_set():
         io.povm_from_doc(doc)
 
 
+RANK_TWO_POVM = (0.5 * np.eye(2), np.diag([0.0, 0.5]), np.diag([0.5, 0.0]))  # complete and PSD
+ZERO_DETECTION_POVM = (np.zeros((2, 2)), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("ops", [RANK_TWO_POVM, ZERO_DETECTION_POVM], ids=["rank-two", "zero"])
+def test_povm_doc_rejects_detection_operator_not_rank_one(ops):
+    doc = io.povm_doc(PovmSet(dim=2, operators=ops))
+    with pytest.raises(InvalidPovm) as err:
+        io.povm_from_doc(doc)
+    assert err.value.context["operator"] == 1
+    assert io.povm_from_doc(doc, validate=False).dim == 2
+
+
 def test_povm_doc_wrong_operator_count():
     p = build_usd_povm(state_set(fig1_states()))
     doc = io.povm_doc(p)
@@ -219,6 +232,19 @@ def test_cli_k_from_povm_recovers_fig1(tmp_path, capsys):
     assert doc["passive"] is True
     back = io.matrix_from_doc(io.read_json(out_path))
     assert np.linalg.norm(back - fig1_k()) < 1e-10
+
+
+def test_cli_k_from_povm_rank_two_operator_exit_2(tmp_path, capsys):
+    path = tmp_path / "rank_two.json"
+    io.write_json(path, io.povm_doc(PovmSet(dim=2, operators=RANK_TWO_POVM)))
+    out_path = tmp_path / "k.json"
+    assert main(["k-from-povm", "--povm", str(path), "--out", str(out_path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["code"] == "invalid_povm"
+    assert err["context"] == {"operator": 1}
+    assert not out_path.exists()
 
 
 def test_cli_k_from_povm_with_phases(tmp_path, capsys):

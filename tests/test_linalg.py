@@ -5,6 +5,7 @@ from usd_kit import linalg
 from usd_kit.errors import (
     NotHermitian,
     NotPositive,
+    ParamOutOfRange,
     RankDeficient,
     SingularMatrix,
 )
@@ -179,6 +180,12 @@ def test_unitary_exp_inverse_property(t):
 def test_unitary_exp_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         linalg.unitary_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_unitary_exp_rejects_non_finite_time(t):
+    with pytest.raises(ParamOutOfRange):
+        linalg.unitary_exp(fig2_hamiltonian(), t)
 
 
 # -- psd_sqrt -----------------------------------------------------------------------

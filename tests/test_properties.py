@@ -16,7 +16,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from usd_kit import io
-from usd_kit.duality import StateSet, build_usd_povm, dual_set, state_set, subspace_reduce
+from usd_kit.duality import PovmSet, StateSet, build_usd_povm, dual_set, state_set, subspace_reduce
 from usd_kit.equivalence import (
     computational_basis,
     dilate_unitary,
@@ -26,7 +26,13 @@ from usd_kit.equivalence import (
     povm_from_lossy,
     projective_basis,
 )
-from usd_kit.errors import DegenerateBasisAlignment, InfeasibleScaling, RankDeficient
+from usd_kit.errors import (
+    DegenerateBasisAlignment,
+    InfeasibleScaling,
+    InvalidPovm,
+    RankDeficient,
+    RankMismatch,
+)
 from usd_kit.linalg import DEFAULT_TOL, gram_schmidt
 
 from helpers import random_complex, random_unitary
@@ -71,6 +77,43 @@ def test_operator_povm_operator_reproduces_every_detection_operator(dim, seed, r
         reject()  # a basis vector orthogonal to its detection operator: a typed error
     residuals = np.linalg.norm(rebuilt.operators - p.operators, axis=(1, 2))
     assert residuals.max() <= 1e-9
+
+
+def povm_with_second_eigenvalue(q: np.ndarray, ratio: float) -> PovmSet:
+    """Complete POVM with ``F_1 = (q_1 q_1^dag + ratio q_2 q_2^dag) / 2`` and rank-one
+    ``F_k = q_k q_k^dag / 2`` for ``k >= 2``, from the columns of a unitary ``q``."""
+    n = q.shape[0]
+    ops = np.empty((n + 1, n, n), dtype=complex)
+    ops[:n] = 0.5 * q.T[:, :, None] * q.T.conj()[:, None, :]
+    ops[0] += 0.5 * ratio * np.outer(q[:, 1], q[:, 1].conj())
+    ops[n] = np.eye(n) - ops[:n].sum(axis=0)
+    return PovmSet(dim=n, operators=ops)
+
+
+@settings(max_examples=5, deadline=None)  # parsing an N=64 POVM document takes about half a second
+@given(dim=st.integers(2, 64), seed=SEEDS)
+@example(dim=64, seed=0)
+def test_rank_one_rule_boundary_under_both_pivots(dim, seed):
+    rng = np.random.default_rng(seed)
+    q = random_unitary(rng, dim)
+    basis = projective_basis(random_unitary(rng, dim))
+    tol = DEFAULT_TOL.psd_tol
+    # lambda_2 / lambda_1 just above psd_tol: rejected on load (diagonal pivot)
+    # and by lossy_from_povm (pivot psi_1)
+    rank_two = povm_with_second_eigenvalue(q, 1.01 * tol)
+    with pytest.raises(InvalidPovm) as err:
+        io.povm_from_doc(io.povm_doc(rank_two))
+    assert err.value.context["operator"] == 1
+    with pytest.raises(RankMismatch) as err:
+        lossy_from_povm(rank_two, basis)
+    assert err.value.context["operator"] == 1
+    # the largest diagonal entry is at least lambda_1 / N
+    io.povm_from_doc(io.povm_doc(povm_with_second_eigenvalue(q, tol / (1.01 * dim))))
+    # the pivot psi_1 sees lambda_2 magnified by 1 / |<psi_1|q_1>|^2
+    alignment = abs(basis.psi[:, 0].conj() @ q[:, 0]) ** 2
+    p = povm_with_second_eigenvalue(q, tol * alignment / 1.01)
+    f1 = povm_from_lossy(lossy_from_povm(p, basis), basis).operators[0]
+    assert np.linalg.norm(f1 - p.operators[0]) <= tol * np.linalg.norm(p.operators[0])
 
 
 @PROPERTY
