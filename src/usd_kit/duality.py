@@ -10,6 +10,7 @@ The largest uniform weight has the closed form ``sigma_min(A)^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -37,6 +38,13 @@ class StateSet:
 
     dim: int
     states: np.ndarray
+
+    @cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values of ``states``, descending, from one SVD on first use:
+        the condition check, the dual-set guard and the closed-form weight
+        all read them."""
+        return linalg.frozen(linalg.singular_values(self.states))
 
     @property
     def count(self) -> int:
@@ -133,10 +141,11 @@ def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
             f"state norms deviate from 1 by {worst:.3e} (eq_tol {ctx.eq_tol:.1e})",
             worst_norm_deviation=worst,
         )
-    cond = linalg.condition_number(m, ctx)
+    s = StateSet(dim=dim, states=linalg.frozen(m))
+    cond = linalg.sv_condition(s.sv)
     if cond > ctx.cond_max:
         raise SingularStates("states are linearly dependent within tolerance", condition_number=cond)
-    return StateSet(dim=dim, states=linalg.frozen(m))
+    return s
 
 
 def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> DualSet:
@@ -151,7 +160,8 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> DualSet:
             f"duals need {s.dim} states in dimension {s.dim}, got {s.count}; "
             "apply subspace_reduce first"
         )
-    a_inv = linalg.inverse(s.states, ctx)
+    linalg.check_invertible(s.sv, ctx)
+    a_inv = np.linalg.inv(s.states)
     return DualSet(dim=s.dim, duals=linalg.frozen(a_inv.conj().T))
 
 
@@ -191,7 +201,10 @@ def build_usd_povm(
     Raises
     ------
     InfeasibleScaling
-        If explicit weights push the inconclusive operator indefinite.
+        If explicit weights push the inconclusive operator indefinite.  A
+        weight with ``lambda_i ||d_i||^2 > 1 + psd_tol`` is rejected before
+        the stack is built: ``<d_i| (I - sum_j lambda_j |d_j><d_j|) |d_i> >= 0``
+        needs ``lambda_i ||d_i||^2 <= 1``, and such a weight could overflow.
     """
     n = s.dim
     ops = np.empty((n + 1, n, n), dtype=complex)
@@ -199,13 +212,23 @@ def build_usd_povm(
     if isinstance(strategy, str):
         if strategy != "uniform-max":
             raise ParamOutOfRange(f"unknown scaling strategy {strategy!r}")
-        lambdas = np.full(n, linalg.singular_values(s.states, ctx)[-1] ** 2)
+        lambdas = np.full(n, s.sv[-1] ** 2)
     else:
         lambdas = np.asarray(strategy, dtype=float)
         if lambdas.shape != (n,):
             raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}")
         if not np.all((lambdas > 0.0) & np.isfinite(lambdas)):
             raise ParamOutOfRange("scaling weights must be finite and strictly positive")
+        # compared, not multiplied: lambda_i ||d_i||^2 can overflow, and ||d_i|| >= 1
+        limit = (1.0 + ctx.psd_tol) / np.sum(np.abs(duals) ** 2, axis=0)
+        bad = np.flatnonzero(lambdas > limit)
+        if bad.size:
+            raise InfeasibleScaling(
+                f"weight {bad[0] + 1} exceeds 1 / ||d_i||^2, so the inconclusive operator is indefinite",
+                operator=int(bad[0]) + 1,
+                weight=float(lambdas[bad[0]]),
+                limit=float(limit[bad[0]]),
+            )
     p = rank_one_povm(ops, duals.T, linalg.frozen(lambdas))
     if not isinstance(strategy, str):
         min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
@@ -223,6 +246,22 @@ def operator_rank(f, ctx: ToleranceContext = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(w > ctx.psd_tol))
 
 
+def diagonal_pivot(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot each operator ``F_k`` of the stack ``f`` on its largest diagonal
+    entry ``j``: the rows ``r_k = F_k[j, :]`` and weights ``w_k = Re F_k[j, j]``,
+    at least ``lambda_1(F_k) / N`` for a positive ``F_k``.
+    """
+    diag = np.diagonal(f, axis1=1, axis2=2).real
+    j = diag.argmax(axis=1)
+    k = np.arange(len(f))
+    return f[k, j], diag[k, j]
+
+
+def _rank_one_defect(fk: np.ndarray, r: np.ndarray, w: float) -> float:
+    """``||F - r^dag r / w||_F``, the distance of ``F`` from the dyad of its pivot row."""
+    return linalg.frobenius(fk - np.outer(r.conj(), r / w))
+
+
 def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL):
     """Rank-one rule for operators ``F_k`` with pivots ``p_k``, given the rows
     ``r_k = p_k^dag F_k`` and weights ``w_k = Re(r_k p_k)``.
@@ -237,7 +276,7 @@ def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContex
     norms = np.array([linalg.frobenius(fk) for fk in f])
     bound = ctx.psd_tol * norms
     aligned = weights > bound  # divide by w_k only where aligned
-    passed = np.array([ok and linalg.frobenius(fk - np.outer(r.conj(), r / w)) <= b
+    passed = np.array([ok and _rank_one_defect(fk, r, w) <= b
                        for fk, r, w, ok, b in zip(f, rows, weights, aligned, bound)])
     return norms, aligned, passed
 
@@ -248,19 +287,43 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     Never raises; the boolean verdict is true when every operator meets the
     Hermiticity rule of :class:`ToleranceContext`, has smallest eigenvalue
     at least ``-psd_tol``, and the operators sum to identity within ``eq_tol``.
+
+    Detection operators are certified rank one in ``O(N^2)`` each, with no
+    eigensolve: pivoted by :func:`diagonal_pivot`, ``F_k`` is certified when
+    ``w_k > psd_tol`` and its defect ``d_k = ||F_k - r_k^dag r_k / w_k||_F`` is
+    at most ``psd_tol``.  For the Hermitian part ``H`` of ``F_k``,
+    ``||H - r_k^dag r_k / w_k||_F <= d_k``, so ``lambda_1(H) >= w_k > psd_tol``
+    (a Rayleigh quotient), ``lambda_2(H) <= d_k`` (Cauchy interlacing) and
+    ``lambda_min(H) >= -d_k`` (Weyl).  A certified operator reports rank 1
+    and ``min_eigenvalue = -d_k``, a certified lower bound on its smallest
+    eigenvalue, not the eigenvalue itself; a rank-two operator is never
+    certified.  The inconclusive operator and every uncertified operator
+    share one ``eigvalsh`` call and report exact eigenvalue diagnostics.
     """
-    ops = p.operators
-    herm, verdicts = zip(*(linalg.hermiticity(f, ctx) for f in ops))  # no stack temporary
+    ops, n = p.operators, p.dim
+    rows, weights = diagonal_pivot(ops[:n])
+    defects = np.full(n + 1, np.inf)  # the inconclusive operator is never certified
+    herm, verdicts = [], []
+    for k, f in enumerate(ops):  # one operator at a time: no stack temporary
+        residual, ok = linalg.hermiticity(f, ctx)
+        herm.append(residual)
+        verdicts.append(ok)
+        if k < n and weights[k] > ctx.psd_tol:
+            defects[k] = _rank_one_defect(f, rows[k], weights[k])
+    rest = np.flatnonzero(~(defects <= ctx.psd_tol))  # a NaN defect certifies nothing
     # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
     # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
-    # so only a stack that breaks the rule pays for a symmetrized copy as
-    # large as the POVM itself.
+    # so only a stack that breaks the rule pays for symmetrizing what is eigensolved.
     hermitian = all(verdicts)
-    sym = ops if hermitian else (ops + ops.conj().transpose(0, 2, 1)) / 2.0
-    w = np.linalg.eigvalsh(sym)
-    min_eig = w[:, 0]
-    ranks = np.count_nonzero(w > ctx.psd_tol, axis=1)
-    completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(p.dim))
+    sub = ops[rest]
+    if not hermitian:
+        sub = (sub + sub.conj().transpose(0, 2, 1)) / 2.0
+    w = np.linalg.eigvalsh(sub)
+    min_eig = 0.0 - defects  # 0.0 - d keeps an exact dyad's bound at +0.0
+    min_eig[rest] = w[:, 0]
+    ranks = np.ones(n + 1, dtype=int)
+    ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
+    completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
     return ValidationReport(
         operators=tuple(map(OperatorDiagnostics, herm, min_eig.tolist(), ranks.tolist())),
         completeness_residual=float(completeness),

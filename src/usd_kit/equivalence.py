@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     GammaTooSmall,
     NotPassive,
+    ParamOutOfRange,
     RankMismatch,
 )
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -95,9 +96,13 @@ def normalize_passive(
     GammaTooSmall
         If ``gamma`` is below the spectral norm (the result would still
         amplify) or the operator is zero.
+    ParamOutOfRange
+        If ``gamma`` is not finite.
     """
     top = float(le.sv[0])
     scale = top if gamma is None else float(gamma)
+    if not np.isfinite(scale):
+        raise ParamOutOfRange(f"rescaling factor must be finite, got {scale!r}")
     if scale <= 0.0:
         raise GammaTooSmall(f"cannot rescale by nonpositive factor {scale!r}")
     if scale < top - ctx.eq_tol:
@@ -204,7 +209,7 @@ def dyadic_form(
     absorbs the removed phase.  Requires K invertible so no dyad
     degenerates.
     """
-    linalg.inverse(le.k, ctx)  # raises SingularMatrix when K is not invertible
+    linalg.check_invertible(le.sv, ctx)  # raises SingularMatrix when K is not invertible
     if basis.dim != le.dim:
         raise DimensionMismatch(
             f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
@@ -224,8 +229,8 @@ def discriminable_states(
     feeding state i through K leaves no component on any other basis
     vector, which is what makes error-free discrimination possible.
     """
-    k_inv = linalg.inverse(le.k, ctx)
-    raw = k_inv @ np.asarray(basis.psi)
+    linalg.check_invertible(le.sv, ctx)
+    raw = np.linalg.inv(le.k) @ np.asarray(basis.psi)
     norms = np.linalg.norm(raw, axis=0)
     return state_set(raw / norms, ctx)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, rank_one_rule, state_set, validate_povm
+from .duality import PovmSet, diagonal_pivot, rank_one_rule, state_set, validate_povm
 from .discrimination import StateEnsemble, state_ensemble
 from .errors import InvalidPovm, ParseError
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -182,10 +182,11 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     """Parse a POVM document; with ``validate`` the full invariants are enforced.
 
     Validation covers Hermiticity, positivity, completeness and then
-    :func:`duality.rank_one_rule` for each detection operator, pivoted on its
-    largest diagonal entry (at least ``lambda_1 / N``): ``lambda_2/lambda_1``
-    up to ``psd_tol / N`` always passes, from ``psd_tol`` on (or a zero
-    operator) always fails.  Failures raise ``InvalidPovm``.
+    :func:`duality.rank_one_rule` for each detection operator, pivoted by
+    :func:`duality.diagonal_pivot` on its largest diagonal entry (at least
+    ``lambda_1 / N``): ``lambda_2/lambda_1`` up to ``psd_tol / N`` always
+    passes, from ``psd_tol`` on (or a zero operator) always fails.  Failures
+    raise ``InvalidPovm``.
     """
     _require_keys(doc, POVM_KEYS, "povm")
     dim = _require_dim(doc, "dim", "povm")
@@ -206,9 +207,7 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
                 min_eigenvalues=[d.min_eigenvalue for d in report.operators],
             )
         f = p.operators[:dim]
-        diag = np.diagonal(f, axis1=1, axis2=2).real
-        rows = f[np.arange(dim), diag.argmax(axis=1)]  # row k is e_j^dag F_k for the largest F_k[j, j]
-        bad = np.flatnonzero(~rank_one_rule(f, rows, diag.max(axis=1), ctx)[2])
+        bad = np.flatnonzero(~rank_one_rule(f, *diagonal_pivot(f), ctx)[2])
         if bad.size:
             raise InvalidPovm(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     return p

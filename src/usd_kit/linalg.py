@@ -178,16 +178,21 @@ def spectral_norm(k, ctx: ToleranceContext = DEFAULT_TOL) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
-def condition_number(a, ctx: ToleranceContext = DEFAULT_TOL) -> float:
-    """Ratio of largest to smallest singular value (inf when rank deficient)."""
-    sv = singular_values(a, ctx)
+def sv_condition(sv: np.ndarray) -> float:
+    """Condition number from descending singular values (inf when rank deficient)."""
     if not sv.size or sv[0] == 0.0 or sv[-1] == 0.0:
         return float("inf")
     return float(sv[0] / sv[-1])
 
 
-def inverse(a, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse guarded by the condition-number cap.
+def condition_number(a, ctx: ToleranceContext = DEFAULT_TOL) -> float:
+    """Ratio of largest to smallest singular value (inf when rank deficient)."""
+    return sv_condition(singular_values(a, ctx))
+
+
+def check_invertible(sv: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> None:
+    """Condition-number cap of :func:`inverse`, applied to the descending
+    singular values of a square matrix.
 
     Raises
     ------
@@ -195,8 +200,6 @@ def inverse(a, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
         When ``sigma_min / sigma_max < 1 / cond_max``; for state matrices
         this signals linearly dependent input states.
     """
-    am = require_square(a, "inverse input")
-    sv = singular_values(am, ctx)
     if sv[0] == 0.0 or sv[-1] / sv[0] < 1.0 / ctx.cond_max:
         raise SingularMatrix(
             "matrix is singular within tolerance "
@@ -204,6 +207,14 @@ def inverse(a, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
             sigma_max=float(sv[0]),
             sigma_min=float(sv[-1]),
         )
+
+
+def inverse(a, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+    """Matrix inverse guarded by the condition-number cap; raises
+    ``SingularMatrix`` as :func:`check_invertible` does.
+    """
+    am = require_square(a, "inverse input")
+    check_invertible(singular_values(am, ctx), ctx)
     return np.linalg.inv(am)
 
 

@@ -130,6 +130,15 @@ def test_explicit_scaling_must_be_finite(bad):
         build_usd_povm(state_set(fig1_states()), strategy=[bad, 0.1])
 
 
+def test_explicit_scaling_beyond_the_dual_norm_is_infeasible():
+    # 1e308 * ||d_1||^2 overflows; the weight is rejected before the stack is built
+    with pytest.raises(InfeasibleScaling) as err:
+        build_usd_povm(state_set(fig1_states()), strategy=[1e308, 0.1])
+    assert err.value.context["operator"] == 1
+    # lambda_i ||d_i||^2 = 1 exactly is feasible: orthonormal states give the projective POVM
+    assert validate_povm(build_usd_povm(state_set(np.eye(3)), strategy=[1.0, 1.0, 1.0])).valid
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ParamOutOfRange):
         build_usd_povm(state_set(fig1_states()), strategy="optimal")
@@ -213,6 +222,39 @@ def test_validate_scales_the_hermiticity_bound_with_the_operator(residual, valid
     assert report.completeness_residual <= DEFAULT_TOL.eq_tol
     assert min(d.min_eigenvalue for d in report.operators) >= -DEFAULT_TOL.psd_tol
     assert report.valid is valid
+
+
+# -- work counts: one SVD per state set, one eigensolve per valid USD POVM ----------
+
+def record_calls(monkeypatch, name):
+    """Replace ``numpy.linalg.<name>`` by a wrapper that records argument shapes."""
+    calls = []
+    routine = getattr(np.linalg, name)
+
+    def recorded(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return routine(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def test_validate_eigensolves_only_the_inconclusive_operator(monkeypatch):
+    n = 64
+    m = random_complex(np.random.default_rng(3), n)
+    p = build_usd_povm(state_set(m / np.linalg.norm(m, axis=0)))
+    calls = record_calls(monkeypatch, "eigvalsh")
+    report = validate_povm(p)
+    assert calls == [(1, n, n)]
+    assert report.valid
+    assert [d.rank for d in report.operators] == [1] * n + [n - 1]
+
+
+def test_state_set_and_build_share_one_svd(monkeypatch):
+    m = random_complex(np.random.default_rng(4), 8)
+    calls = record_calls(monkeypatch, "svd")
+    build_usd_povm(state_set(m / np.linalg.norm(m, axis=0)))
+    assert calls == [(8, 8)]
 
 
 @pytest.mark.parametrize("residual, valid", [(0.5e-10, True), (2e-10, False)])

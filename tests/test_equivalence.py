@@ -19,6 +19,7 @@ from usd_kit.errors import (
     GammaTooSmall,
     NotPassive,
     NotUnitary,
+    ParamOutOfRange,
     RankMismatch,
     SingularMatrix,
 )
@@ -80,6 +81,12 @@ def test_normalize_passive_rescales_jordan():
 def test_normalize_passive_gamma_too_small():
     with pytest.raises(GammaTooSmall):
         normalize_passive(make_lossy(np.eye(2)), gamma=0.5)
+
+
+@pytest.mark.parametrize("gamma", [np.inf, np.nan])
+def test_normalize_passive_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ParamOutOfRange):
+        normalize_passive(make_lossy(0.5 * np.eye(2)), gamma=gamma)
 
 
 # -- povm_from_lossy ------------------------------------------------------------

@@ -5,7 +5,9 @@ matrices, so a failing example is reproduced from the two integers that
 hypothesis reports.  Examples pinned with ``@example`` hold N=64 in
 every run: on the passiveness boundary a dilation from two independent
 square roots loses unitarity, a 64-operator POVM file is the largest
-JSON round trip, and a 64 x 64 frame is the largest QR.
+JSON round trip, a 64 x 64 frame is the largest QR, and at N=64 the
+rank-one certificate of ``validate_povm`` has the least round-off margin
+against the eigensolve oracle (up to 6.5e-16 ||F||_F seen, 1e-15 allowed).
 """
 
 import json
@@ -16,7 +18,15 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from usd_kit import io
-from usd_kit.duality import PovmSet, StateSet, build_usd_povm, dual_set, state_set, subspace_reduce
+from usd_kit.duality import (
+    PovmSet,
+    StateSet,
+    build_usd_povm,
+    dual_set,
+    state_set,
+    subspace_reduce,
+    validate_povm,
+)
 from usd_kit.equivalence import (
     computational_basis,
     dilate_unitary,
@@ -114,6 +124,69 @@ def test_rank_one_rule_boundary_under_both_pivots(dim, seed):
     p = povm_with_second_eigenvalue(q, tol * alignment / 1.01)
     f1 = povm_from_lossy(lossy_from_povm(p, basis), basis).operators[0]
     assert np.linalg.norm(f1 - p.operators[0]) <= tol * np.linalg.norm(p.operators[0])
+
+
+def oracle_report(ops: np.ndarray):
+    """Ranks, smallest eigenvalues and verdict from ``eigvalsh`` of the whole
+    symmetrized stack, with the Hermiticity and completeness rules restated."""
+    tol = DEFAULT_TOL
+    w = np.linalg.eigvalsh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)
+    herm = np.linalg.norm(ops - ops.conj().transpose(0, 2, 1), axis=(1, 2))
+    norms = np.linalg.norm(ops, axis=(1, 2))
+    completeness = np.linalg.norm(ops.sum(axis=0) - np.eye(ops.shape[1]))
+    valid = (np.all(herm <= tol.eq_tol * np.maximum(1.0, norms))
+             and np.all(w[:, 0] >= -tol.psd_tol) and completeness <= tol.eq_tol)
+    return np.count_nonzero(w > tol.psd_tol, axis=1).tolist(), w[:, 0], bool(valid)
+
+
+def assert_certificate_agrees(p: PovmSet) -> None:
+    """validate_povm's verdict and ranks equal the oracle's, and every reported
+    smallest eigenvalue is a lower bound on the oracle's, up to round-off."""
+    ops = np.asarray(p.operators)
+    ranks, min_eig, valid = oracle_report(ops)
+    report = validate_povm(p)
+    assert report.valid is valid
+    assert [d.rank for d in report.operators] == ranks
+    reported = np.array([d.min_eigenvalue for d in report.operators])
+    assert np.all(reported <= min_eig + 1e-15 * np.linalg.norm(ops, axis=(1, 2)))
+
+
+@PROPERTY
+@given(dim=DIMS, seed=SEEDS)
+@example(dim=64, seed=0)
+def test_rank_one_certificate_agrees_with_the_eigensolve(dim, seed):
+    rng = np.random.default_rng(seed)
+    assert_certificate_agrees(build_usd_povm(state_set(random_states(seed, dim))))
+    if dim >= 2:
+        # lambda_2(F_1) just above psd_tol is never certified and reports rank 2;
+        # just below it reports rank 1 by either route
+        q = random_unitary(rng, dim)
+        above = povm_with_second_eigenvalue(q, 2.02 * DEFAULT_TOL.psd_tol)
+        assert_certificate_agrees(above)
+        assert validate_povm(above).operators[0].rank == 2
+        below = povm_with_second_eigenvalue(q, 2.0 * DEFAULT_TOL.psd_tol / 1.01)
+        assert_certificate_agrees(below)
+        assert validate_povm(below).operators[0].rank == 1
+
+
+@PROPERTY
+@given(dim=st.integers(2, 64), seed=SEEDS, scale=st.sampled_from([0.4, 1.2]))
+@example(dim=64, seed=3, scale=1.2)
+def test_rank_one_certificate_keeps_verdicts_on_non_hermitian_stacks(dim, seed, scale):
+    # the inconclusive operator's residual is scale times its Hermiticity bound;
+    # the opposite perturbation, spread over the detection operators, keeps completeness
+    ops = np.array(build_usd_povm(state_set(random_states(seed, dim))).operators)
+    s = np.ones((dim, dim)) - np.eye(dim)
+    residual = scale * DEFAULT_TOL.eq_tol * max(1.0, np.linalg.norm(ops[-1]))
+    e = 0.5j * residual * s / np.linalg.norm(s)
+    ops[-1] += e
+    ops[:dim] -= e / dim
+    p = PovmSet(dim=dim, operators=ops)
+    ranks, _, valid = oracle_report(ops)
+    report = validate_povm(p)
+    assert valid is (scale < 1.0)
+    assert report.valid is valid
+    assert [d.rank for d in report.operators] == ranks
 
 
 @PROPERTY
