@@ -162,6 +162,8 @@ def lossy_from_povm(
     DegenerateBasisAlignment
         If a basis projector is orthogonal to its detection operator:
         ``psi_i^dag F_i psi_i <= psd_tol * ||F_i||_F``.
+    ParamOutOfRange
+        If a phase is not finite.
     """
     n = p.dim
     if basis.dim != n:
@@ -174,6 +176,10 @@ def lossy_from_povm(
         phi = np.asarray(phases, dtype=float)
         if phi.shape != (n,):
             raise DimensionMismatch(f"expected {n} phases, got shape {phi.shape}")
+        bad = np.flatnonzero(~np.isfinite(phi))
+        if bad.size:
+            i = int(bad[0])
+            raise ParamOutOfRange(f"phase {i + 1} is not finite: {float(phi[i])!r}", phase=i + 1)
     f = p.operators[:n]
     psi = basis.psi
     rows = np.einsum("ik,kij->kj", psi.conj(), f)  # row k is psi_k^dag F_k

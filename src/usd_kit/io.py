@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -77,33 +78,42 @@ def _entry_pairs(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _floats(data, shape: tuple) -> np.ndarray | None:
+    """``data`` as a float array in one numpy pass when it is nested lists of
+    ``shape`` whose every leaf is an ``int`` or ``float`` (not a ``bool``)
+    with a finite double value, else ``None``.  Sized by the data, never by
+    the declared shape."""
+    a = np.array(data, dtype=object)
+    types = set(map(type, a.flat))
+    if a.shape == shape and all(issubclass(t, (int, float)) and t is not bool for t in types):
+        with suppress(OverflowError):  # an integer beyond double range
+            x = a.astype(float)
+            if np.isfinite(x).all():
+                return x
+    return None
 
 
-def _is_finite(x) -> bool:
-    """A JSON number is finite when it is a finite double: NaN, infinities
-    and integers beyond double range are not."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-def _parse_complex_rows(data, rows: int, cols: int, where: str) -> np.ndarray:
-    """The ``rows x cols`` complex matrix of checked ``[re, im]`` pairs; sized
-    by the data, never by the declared shape alone."""
-    if not isinstance(data, list) or len(data) != rows:
-        raise ParseError(f"{where}: expected {rows} rows")
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"{where}: row {i} must have {cols} entries")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
-                raise ParseError(f"{where}: entry ({i},{j}) must be a [re, im] pair")
-            if not (_is_finite(entry[0]) and _is_finite(entry[1])):
-                raise ParseError(f"{where}: entry ({i},{j}) is not finite")
-    return np.array(data, dtype=float).view(complex)[..., 0]
+def _pairs(data, shape: tuple, where) -> np.ndarray:
+    """The complex array of ``shape`` held as nested ``[re, im]`` pairs: a
+    ``(rows, cols)`` matrix named ``where``, or a list of matrices or
+    ``(rows,)`` columns whose element k ``where(k)`` names.  Rejected data
+    is walked again, by the same rule, only to name its first bad spot."""
+    x = _floats(data, (*shape, 2))
+    if x is not None:
+        return x.view(complex)[..., 0]
+    full, path = (*shape, 2), ()
+    while len(path) < len(full) and isinstance(data, list) and len(data) == full[len(path)]:
+        rest = full[len(path) + 1:]
+        path += (next(i for i, item in enumerate(data) if _floats(item, rest) is None),)
+        data = data[path[-1]]
+    if callable(where):  # a stack arrives as a list of its declared length
+        where, path, shape = where(path[0]), path[1:], shape[1:]
+    if not path:
+        raise ParseError(f"{where}: expected {shape[0]} rows")
+    if len(path) == 1 and len(shape) == 2:
+        raise ParseError(f"{where}: row {path[0]} must have {shape[1]} entries")
+    col = path[1] if len(shape) == 2 else 0  # a state is a rows x 1 column
+    raise ParseError(f"{where}: entry ({path[0]},{col}) must be a [re, im] pair of finite numbers")
 
 
 def _require_keys(doc, keys: set[str], where: str) -> None:
@@ -135,7 +145,7 @@ def matrix_from_doc(doc) -> np.ndarray:
     _require_keys(doc, MATRIX_KEYS, "matrix")
     rows = _require_dim(doc, "rows", "matrix")
     cols = _require_dim(doc, "cols", "matrix")
-    return _parse_complex_rows(doc["data"], rows, cols, "matrix data")
+    return _pairs(doc["data"], (rows, cols), "matrix data")
 
 
 # -- ensemble documents --------------------------------------------------------
@@ -151,22 +161,12 @@ def ensemble_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble
     raw_states = doc["states"]
     if not isinstance(raw_states, list) or not raw_states:
         raise ParseError("ensemble: states must be a non-empty list")
-    columns = []
-    for idx, vec in enumerate(raw_states):
-        col = _parse_complex_rows(
-            [[entry] for entry in vec] if isinstance(vec, list) else vec,
-            dim,
-            1,
-            f"ensemble state {idx}",
-        )
-        columns.append(col[:, 0])
+    states = _pairs(raw_states, (len(raw_states), dim), lambda k: f"ensemble state {k}")
     priors = doc["priors"]
-    if not isinstance(priors, list) or not all(
-        _is_number(x) and _is_finite(x) for x in priors
-    ):
+    priors = _floats(priors, (len(priors),)) if isinstance(priors, list) else None
+    if priors is None:
         raise ParseError("ensemble: priors must be a list of finite numbers")
-    states = state_set(np.column_stack(columns), ctx)
-    return state_ensemble(states, [float(x) for x in priors], ctx)
+    return state_ensemble(state_set(states.T, ctx), priors, ctx)
 
 
 # -- POVM documents ------------------------------------------------------------
@@ -193,10 +193,8 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     raw_ops = doc["operators"]
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
-    operators = [
-        _parse_complex_rows(op, dim, dim, f"povm operator {idx + 1}")
-        for idx, op in enumerate(raw_ops)
-    ]
+    operators = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}")
+    operators.setflags(write=False)  # PovmSet keeps a read-only stack without a copy
     p = PovmSet(dim=dim, operators=operators, scaling=None)
     if validate:
         report = validate_povm(p, ctx)
@@ -220,9 +218,11 @@ def read_json(path) -> object:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the decoder's limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

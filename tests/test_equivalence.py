@@ -164,6 +164,14 @@ def test_zero_detection_operator_rejected():
     assert err.value.context["operator"] == 1
 
 
+@pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+def test_non_finite_phase_rejected_before_any_arithmetic(phase):
+    p = povm_from_lossy(make_lossy(fig1_k()), computational_basis(2))
+    with pytest.raises(ParamOutOfRange) as err:
+        lossy_from_povm(p, computational_basis(2), [0.0, phase])  # warnings are errors here
+    assert err.value.context["phase"] == 2
+
+
 # -- dyadic_form ----------------------------------------------------------------------
 
 def test_dyadic_form_identity():

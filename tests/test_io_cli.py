@@ -20,7 +20,7 @@ from usd_kit.equivalence import (
     povm_from_lossy,
     projective_basis,
 )
-from usd_kit.errors import InvalidPovm, ParseError
+from usd_kit.errors import InvalidEnsemble, InvalidPovm, ParseError
 
 from helpers import fig1_k, fig1_states, jordan_k, random_complex, random_passive
 
@@ -149,6 +149,15 @@ def test_povm_doc_wrong_operator_count():
 
 # -- CLI ----------------------------------------------------------------------------
 
+def one_envelope(stderr: str) -> dict:
+    """The single ``{code, message, context}`` line a failing command prints."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    envelope = json.loads(lines[0])
+    assert set(envelope) == {"code", "message", "context"}
+    return envelope
+
+
 def write_fig1_files(tmp_path, gamma=0.5):
     k_path = tmp_path / "k.json"
     ensemble_path = tmp_path / "ensemble.json"
@@ -272,6 +281,21 @@ def test_cli_k_from_povm_with_phases(tmp_path, capsys):
     original = io.povm_from_doc(io.read_json(povm_path))
     for a, b in zip(rebuilt.operators, original.operators):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-9
+
+
+@pytest.mark.parametrize("phases", ["inf,0", "0,nan", "-inf,0"])
+def test_cli_k_from_povm_non_finite_phase_exit_2(tmp_path, capsys, phases):
+    k_path, _ = write_fig1_files(tmp_path)
+    povm_path = tmp_path / "povm.json"
+    main(["povm-from-k", "--k", str(k_path), "--out", str(povm_path)])
+    capsys.readouterr()
+    out_path = tmp_path / "k_out.json"
+    argv = ["k-from-povm", "--povm", str(povm_path), f"--phases={phases}", "--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_envelope(captured.err)["code"] == "param_out_of_range"
+    assert not out_path.exists()
 
 
 def test_cli_povm_roundtrip_with_custom_basis(tmp_path, capsys):
@@ -486,6 +510,53 @@ def test_cli_huge_json_integer_is_a_parse_error(tmp_path, capsys, command, doc, 
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "parse_error"
     assert needle in err["message"]
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [True, "1.0", None, HUGE, math.nan, "short", "nested"],
+    ids=["true", "string", "null", "huge", "nan", "short", "nested"],
+)
+@pytest.mark.parametrize(
+    "read, doc, path, needle",
+    [
+        (io.matrix_from_doc, fig1_k_doc, ("data", 1, 0, 0), "matrix data: entry (1,0)"),
+        (io.ensemble_from_doc, fig1_ensemble_doc, ("states", 1, 1, 0), "ensemble state 1: entry (1,0)"),
+        (io.povm_from_doc, fig1_povm_doc, ("operators", 2, 0, 1, 1), "povm operator 3: entry (0,1)"),
+        (io.ensemble_from_doc, fig1_ensemble_doc, ("priors", 0), "ensemble: priors"),
+    ],
+    ids=["matrix", "ensemble-state", "povm-operator", "priors"],
+)
+def test_reader_rejects_a_bad_leaf_and_names_its_spot(read, doc, path, needle, mutation):
+    """One leaf turned into a non-number, a non-finite number, or the list
+    holding it cut one short or nested one level deeper."""
+    doc = json.loads(io.render_json(doc()))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "short":
+        parent.pop()
+    else:
+        parent[path[-1]] = [parent[path[-1]]] if mutation == "nested" else mutation
+    doc = json.loads(json.dumps(doc))  # exactly what the decoder hands over
+    if path[0] == "priors" and mutation == "short":
+        # one prior short of the states is a count mismatch, a domain error as before
+        with pytest.raises(InvalidEnsemble):
+            read(doc)
+        return
+    with pytest.raises(ParseError) as err:
+        read(doc)
+    assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{", b"[" * 100_000], ids=["not-utf8", "nested-past-the-decoder"]
+)
+def test_cli_undecodable_file_is_a_parse_error(tmp_path, capsys, content):
+    file = tmp_path / "povm.json"
+    file.write_bytes(content)
+    assert main(["validate", "--povm", str(file)]) == 1
+    assert one_envelope(capsys.readouterr().err)["code"] == "parse_error"
 
 
 # -- malformed documents always leave through the error envelope --------------------

@@ -11,6 +11,7 @@ against the eigensolve oracle (up to 6.5e-16 ||F||_F seen, 1e-15 allowed).
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from usd_kit import io
+from usd_kit.discrimination import state_ensemble, usd_report
 from usd_kit.duality import (
     PovmSet,
     StateSet,
@@ -30,6 +32,7 @@ from usd_kit.duality import (
 from usd_kit.equivalence import (
     computational_basis,
     dilate_unitary,
+    discriminable_states,
     lossy_from_povm,
     make_lossy,
     normalize_passive,
@@ -87,6 +90,74 @@ def test_operator_povm_operator_reproduces_every_detection_operator(dim, seed, r
         reject()  # a basis vector orthogonal to its detection operator: a typed error
     residuals = np.linalg.norm(rebuilt.operators - p.operators, axis=(1, 2))
     assert residuals.max() <= 1e-9
+
+
+def conditioned(rng: np.random.Generator, n: int, boundary: bool) -> np.ndarray:
+    """``U diag(s) V`` with singular values in ``[0.05, 1)``, the largest one
+    exactly 1 on the passiveness ``boundary``: passive, invertible, cond <= 20."""
+    s = rng.uniform(0.05, 1.0, n)
+    return (random_unitary(rng, n) * (s / s.max() if boundary else s)) @ random_unitary(rng, n)
+
+
+@PROPERTY
+@given(dim=DIMS, seed=SEEDS, boundary=st.booleans())
+@example(dim=64, seed=0, boundary=True)
+def test_lossy_route_equals_the_dual_route(dim, seed, boundary):
+    # K^dag psi_i = d_i / n_i with n_i = ||K^{-1} psi_i||, so the lossy POVM is
+    # the USD POVM of the discriminable states with weights 1 / n_i^2
+    rng = np.random.default_rng(seed)
+    k = conditioned(rng, dim, boundary)
+    basis = projective_basis(random_unitary(rng, dim))
+    le = make_lossy(k)
+    weights = 1.0 / np.linalg.norm(np.linalg.solve(k, basis.psi), axis=0) ** 2
+    lossy = povm_from_lossy(le, basis).operators
+    dual = build_usd_povm(discriminable_states(le, basis), weights).operators
+    assert np.linalg.norm(lossy - dual, axis=(1, 2)).max() <= 1e-11
+
+
+@PROPERTY
+@given(dim=DIMS, seed=SEEDS)
+@example(dim=64, seed=0)
+def test_uniform_usd_povm_gives_back_its_states_through_k(dim, seed):
+    rng = np.random.default_rng(seed)
+    states = conditioned(rng, dim, boundary=False)
+    states /= np.linalg.norm(states, axis=0)
+    basis = projective_basis(random_unitary(rng, dim))
+    try:
+        le = lossy_from_povm(build_usd_povm(state_set(states)), basis)
+    except DegenerateBasisAlignment:
+        reject()
+    back = np.asarray(discriminable_states(le, basis).states)
+    overlaps = np.sum(states.conj() * back, axis=0)
+    aligned = back * (overlaps / np.abs(overlaps)).conj()  # the phase is free
+    assert np.linalg.norm(aligned - states, axis=0).max() <= 1e-11
+
+
+def pt_symmetric_propagator(g: float, k: float, t: float) -> np.ndarray:
+    """``exp(-i H t)`` for the passive PT-symmetric ``H = H0 - i g I`` with
+    ``H0 = [[-i g, k], [k, i g]]``: ``H0^2 = (k^2 - g^2) I``, so the series
+    sums to cos/sin below the exceptional point ``g = k``, cosh/sinh above
+    it and ``I - i t H0`` on it."""
+    h0 = np.array([[-1j * g, k], [k, 1j * g]])
+    w = np.sqrt(complex(k * k - g * g))
+    if w == 0:
+        return np.exp(-g * t) * (np.eye(2) - 1j * t * h0)
+    return np.exp(-g * t) * (np.cos(w * t) * np.eye(2) - 1j * np.sin(w * t) / w * h0)
+
+
+@pytest.mark.parametrize("g", [0.3, 0.9, 1.0, 1.5], ids=["below-ep", "near-ep", "at-ep", "above-ep"])
+def test_pt_symmetric_evolution_discriminates_as_a_povm(g):
+    k = pt_symmetric_propagator(g, 1.0, 1.0)
+    h = np.array([[-2j * g, 1.0], [1.0, 0.0]])  # H = H0 - i g I
+    taylor = sum(np.linalg.matrix_power(-1j * h, m) / math.factorial(m) for m in range(40))
+    assert np.abs(k - taylor).max() <= 1e-14
+    le = normalize_passive(make_lossy(k))
+    basis = computational_basis(2)
+    states = discriminable_states(le, basis)
+    ensemble = state_ensemble(states, [0.5, 0.5])
+    idp = abs(np.vdot(states.states[:, 0], states.states[:, 1]))  # Ivanovic-Dieks-Peres bound
+    assert usd_report(ensemble, povm_from_lossy(le, basis)).total_inconclusive >= idp - 1e-12
+    assert abs(usd_report(ensemble, build_usd_povm(states)).total_inconclusive - idp) <= 1e-12
 
 
 def povm_with_second_eigenvalue(q: np.ndarray, ratio: float) -> PovmSet:
