@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,6 +35,13 @@ TOL_ENV_VAR = "USD_KIT_TOL"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # An argument that starts like a negative number (inf and nan included)
+        # is a value, so `--phases -1.2,0.3` reads as `--phases=-1.2,0.3` does;
+        # no option starts so.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # route usage problems through the JSON envelope
         raise ParseError(f"argument error: {message}")
 

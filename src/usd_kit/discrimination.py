@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, check_density_matrix, validate_povm
+from .duality import PovmSet, StateSet, _blocks, check_density_matrix, validate_povm
 from .errors import (
     DimensionMismatch,
     InvalidEnsemble,
@@ -112,15 +112,16 @@ def density_matrix(e: StateEnsemble) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext) -> np.ndarray:
+def _per_state_probabilities(e: StateEnsemble, p: PovmSet) -> np.ndarray:
     if e.dim != p.dim:
         raise DimensionMismatch(
             f"ensemble dimension {e.dim} does not match POVM dimension {p.dim}"
         )
-    a = e.states.states
-    # probs[i, j] = <alpha_i|F_j|alpha_i>, one operator at a time: a stack-wide
-    # product would allocate a temporary as large as the POVM itself.
-    probs = np.array([np.sum(a.conj() * (f @ a), axis=0).real for f in p.operators]).T
+    a, ops = e.states.states, p.operators
+    bra = a.conj()
+    # probs[i, j] = <alpha_i|F_j|alpha_i>, one block of operators at a time, so
+    # no temporary is larger than BLOCK_BYTES (256 KiB) however large the POVM.
+    probs = np.concatenate([np.sum(bra * (ops[s] @ a), axis=1).real for s in _blocks(ops)]).T
     return np.clip(probs, 0.0, None)
 
 
@@ -131,7 +132,7 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
             f"report needs one detection operator per state: {e.count} states, "
             f"{p.dim} detection operators"
         )
-    probs = _per_state_probabilities(e, p, ctx)
+    probs = _per_state_probabilities(e, p)
     n = e.count
     success = np.diagonal(probs).copy()
     errors = probs[:, :n].copy()
@@ -168,7 +169,8 @@ def sample_outcomes(
         negative or above ``2**63 - 1``, the largest ``int64`` count.
     InvalidPovm
         When the POVM fails validation (Hermiticity, positivity or
-        completeness).
+        completeness); the report is the one :func:`validate_povm` cached on
+        the POVM, so a POVM is validated once per ``ctx``, not once per call.
     """
     trials = trials_per_state
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or not 0 <= trials < 2**63:
@@ -179,7 +181,7 @@ def sample_outcomes(
             "POVM failed validation",
             completeness_residual=report.completeness_residual,
         )
-    probs = _per_state_probabilities(e, p, ctx)
+    probs = _per_state_probabilities(e, p)
     counts = rng.generator().multinomial(trials, probs / probs.sum(axis=1, keepdims=True))
     return OutcomeStats(counts=linalg.frozen(counts), trials=trials, seed=rng.seed)
 

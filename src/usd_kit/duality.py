@@ -27,6 +27,11 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, ToleranceContext
 
+# The stack passes walk an (M, N, N) operator stack in blocks of as many
+# N x N complex operators as fit in 256 KiB: the whole stack up to N = 25,
+# 4 operators at N = 64.  No temporary of a pass is larger than one block.
+BLOCK_BYTES = 2**18
+
 
 @dataclass(frozen=True)
 class StateSet:
@@ -73,8 +78,12 @@ class PovmSet:
 
     ``operators`` is one read-only complex ``(N+1, N, N)`` array, stacked
     from any sequence of N+1 ``N x N`` matrices (``DimensionMismatch``
-    otherwise; a read-only complex array is kept, not copied).  The first
-    N operators are the rank-one detection operators; the last one
+    otherwise).  A read-only, C-ordered complex array is kept, not copied,
+    when no writable array shares its memory; anything else, a read-only view
+    of a writable array included, is copied.  So nothing writes to the stack,
+    and :func:`validate_povm` caches its report on the set, once per
+    :class:`ToleranceContext`.  The
+    first N operators are the rank-one detection operators; the last one
     collects the inconclusive outcome.  ``scaling`` holds the weights
     applied to the dual dyads when they are known (construction from an
     explicit state set); it is ``None`` for POVMs obtained from a lossy
@@ -92,11 +101,24 @@ class PovmSet:
             ops = None
         if ops is None or ops.shape != (self.dim + 1, self.dim, self.dim):
             raise DimensionMismatch(f"expected {self.dim + 1} operators of size {self.dim}x{self.dim}")
-        object.__setattr__(self, "operators", linalg.frozen(ops) if ops.flags.writeable else ops)
+        if not (_sealed(ops) and ops.flags.c_contiguous):
+            ops = np.array(ops, order="C")
+            ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "_reports", {})  # validate_povm's cache, not a field
 
     @property
     def inconclusive(self) -> np.ndarray:
         return self.operators[-1]
+
+
+def _sealed(a: np.ndarray) -> bool:
+    """Whether ``a`` and every array it views are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 @dataclass(frozen=True)
@@ -257,9 +279,55 @@ def diagonal_pivot(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f[k, j], diag[k, j]
 
 
-def _rank_one_defect(fk: np.ndarray, r: np.ndarray, w: float) -> float:
-    """``||F - r^dag r / w||_F``, the distance of ``F`` from the dyad of its pivot row."""
-    return linalg.frobenius(fk - np.outer(r.conj(), r / w))
+def _blocks(ops: np.ndarray) -> list[slice]:
+    """Slices of the stack ``ops``, each as many operators as fit in ``BLOCK_BYTES``."""
+    m, n = ops.shape[:2]
+    step = max(1, BLOCK_BYTES // (16 * n * n))
+    return [slice(b, b + step) for b in range(0, m, step)]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """``||x_k||_F`` of each matrix of the complex block ``x``, bit for bit
+    ``np.linalg.norm``: the same strided dot products ``re.re + im.im``."""
+    v = x.reshape(len(x), 1, -1)
+    re, im = v.real, v.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
+
+
+def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol: float,
+                hermiticity: bool = True):
+    """One pass over the ``(M, N, N)`` stack ``ops``, block by block (:func:`_blocks`).
+
+    Returns, for each operator ``F_k``, ``||F_k||_F``, the Hermiticity
+    residual ``||F_k - F_k^dag||_F`` (``None`` without ``hermiticity``) and
+    the pivot defect ``||F_k - r_k^dag r_k / w_k||_F``.  The defect is formed
+    for the first ``len(rows)`` operators whose pivot is aligned under the
+    absolute or the relative bound, ``w_k > psd_tol * min(1, ||F_k||_F)``; it
+    is ``inf`` elsewhere, and no other ``w_k`` is divided by.
+    """
+    norms, defects = np.empty(len(ops)), np.full(len(ops), np.inf)
+    herm = np.empty(len(ops)) if hermiticity else None
+    for s in _blocks(ops):
+        x = ops[s]
+        norms[s] = _norms(x)
+        if hermiticity:
+            t = x.transpose(0, 2, 1).copy()
+            herm[s] = _norms(np.subtract(x, np.conjugate(t, out=t), out=t))
+        w = weights[s]  # shorter than the block where the pivoted operators end
+        k = np.flatnonzero(w > psd_tol * np.minimum(1.0, norms[s][: len(w)]))
+        if k.size:
+            r = rows[s][k]
+            d = r.conj()[:, :, None] * (r / w[k, None])[:, None, :]
+            defects[k + s.start] = _norms(np.subtract(x if k.size == len(x) else x[k], d, out=d))
+    return norms, herm, defects
+
+
+def _relative_rule(norms: np.ndarray, weights: np.ndarray, defects: np.ndarray, ctx: ToleranceContext):
+    """Aligned pivots ``w_k > psd_tol * ||F_k||_F`` and, among them, the
+    operators whose defect is within that same bound."""
+    bound = ctx.psd_tol * norms
+    aligned = weights > bound
+    return aligned, aligned & (defects <= bound)
 
 
 def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL):
@@ -271,14 +339,12 @@ def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContex
     with defect ``||F_k - r_k^dag r_k / w_k||_F`` within that same bound.
     The defect is a Schur complement, so by Cauchy interlacing it bounds
     ``|lambda_2(F_k)|`` and ``-lambda_min(F_k)``: a rank-two operator never
-    passes.  It is formed one operator at a time, with no stack temporary.
+    passes.  Norms and defects come from one pass over the stack in blocks
+    of at most ``BLOCK_BYTES`` (256 KiB), so no temporary is larger than one
+    block.
     """
-    norms = np.array([linalg.frobenius(fk) for fk in f])
-    bound = ctx.psd_tol * norms
-    aligned = weights > bound  # divide by w_k only where aligned
-    passed = np.array([ok and _rank_one_defect(fk, r, w) <= b
-                       for fk, r, w, ok, b in zip(f, rows, weights, aligned, bound)])
-    return norms, aligned, passed
+    norms, _, defects = _stack_pass(f, rows, weights, ctx.psd_tol, hermiticity=False)
+    return (norms, *_relative_rule(norms, weights, defects, ctx))
 
 
 def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> ValidationReport:
@@ -287,6 +353,7 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     Never raises; the boolean verdict is true when every operator meets the
     Hermiticity rule of :class:`ToleranceContext`, has smallest eigenvalue
     at least ``-psd_tol``, and the operators sum to identity within ``eq_tol``.
+    The report is computed once per ``ctx`` and cached on ``p``.
 
     Detection operators are certified rank one in ``O(N^2)`` each, with no
     eigensolve: pivoted by :func:`diagonal_pivot`, ``F_k`` is certified when
@@ -297,24 +364,32 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     ``lambda_min(H) >= -d_k`` (Weyl).  A certified operator reports rank 1
     and ``min_eigenvalue = -d_k``, a certified lower bound on its smallest
     eigenvalue, not the eigenvalue itself; a rank-two operator is never
-    certified.  The inconclusive operator and every uncertified operator
-    share one ``eigvalsh`` call and report exact eigenvalue diagnostics.
+    certified.  Norms, Hermiticity residuals and defects come from one pass
+    over the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB).  The
+    inconclusive operator and every uncertified operator share one
+    ``eigvalsh`` call and report exact eigenvalue diagnostics.
     """
+    return _validated(p, ctx)[0]
+
+
+def _validated(p: PovmSet, ctx: ToleranceContext) -> tuple[ValidationReport, np.ndarray]:
+    """The report of :func:`validate_povm` and, from the same pass, whether each
+    detection operator passes :func:`rank_one_rule` on its diagonal pivot;
+    computed once per ``ctx`` and cached on ``p``."""
+    if ctx in p._reports:
+        return p._reports[ctx]
     ops, n = p.operators, p.dim
     rows, weights = diagonal_pivot(ops[:n])
-    defects = np.full(n + 1, np.inf)  # the inconclusive operator is never certified
-    herm, verdicts = [], []
-    for k, f in enumerate(ops):  # one operator at a time: no stack temporary
-        residual, ok = linalg.hermiticity(f, ctx)
-        herm.append(residual)
-        verdicts.append(ok)
-        if k < n and weights[k] > ctx.psd_tol:
-            defects[k] = _rank_one_defect(f, rows[k], weights[k])
+    norms, herm, defects = _stack_pass(ops, rows, weights, ctx.psd_tol)
+    rank_one = _relative_rule(norms[:n], weights, defects[:n], ctx)[1]
+    # from here on the absolute certificate: only w_k > psd_tol certifies, and
+    # the inconclusive operator (defect inf) never does
+    defects[:n][weights <= ctx.psd_tol] = np.inf
     rest = np.flatnonzero(~(defects <= ctx.psd_tol))  # a NaN defect certifies nothing
     # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
     # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
     # so only a stack that breaks the rule pays for symmetrizing what is eigensolved.
-    hermitian = all(verdicts)
+    hermitian = bool(np.all(herm <= ctx.eq_tol * np.maximum(1.0, norms)))  # linalg.hermiticity's rule
     sub = ops[rest]
     if not hermitian:
         sub = (sub + sub.conj().transpose(0, 2, 1)) / 2.0
@@ -324,11 +399,13 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     ranks = np.ones(n + 1, dtype=int)
     ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
     completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
-    return ValidationReport(
-        operators=tuple(map(OperatorDiagnostics, herm, min_eig.tolist(), ranks.tolist())),
+    report = ValidationReport(
+        operators=tuple(map(OperatorDiagnostics, herm.tolist(), min_eig.tolist(), ranks.tolist())),
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
     )
+    p._reports[ctx] = report, rank_one
+    return report, rank_one
 
 
 def check_density_matrix(rho, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

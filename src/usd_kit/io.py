@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, diagonal_pivot, rank_one_rule, state_set, validate_povm
+from .duality import PovmSet, _validated, state_set, validate_povm
 from .discrimination import StateEnsemble, state_ensemble
 from .errors import InvalidPovm, ParseError
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -100,6 +100,7 @@ def _pairs(data, shape: tuple, where) -> np.ndarray:
     is walked again, by the same rule, only to name its first bad spot."""
     x = _floats(data, (*shape, 2))
     if x is not None:
+        x.setflags(write=False)  # so a POVM stack is kept without a copy
         return x.view(complex)[..., 0]
     full, path = (*shape, 2), ()
     while len(path) < len(full) and isinstance(data, list) and len(data) == full[len(path)]:
@@ -185,8 +186,9 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     :func:`duality.rank_one_rule` for each detection operator, pivoted by
     :func:`duality.diagonal_pivot` on its largest diagonal entry (at least
     ``lambda_1 / N``): ``lambda_2/lambda_1`` up to ``psd_tol / N`` always
-    passes, from ``psd_tol`` on (or a zero operator) always fails.  Failures
-    raise ``InvalidPovm``.
+    passes, from ``psd_tol`` on (or a zero operator) always fails.  The rule
+    reads the norms and defects of :func:`duality.validate_povm`'s own pass,
+    so no defect is formed twice.  Failures raise ``InvalidPovm``.
     """
     _require_keys(doc, POVM_KEYS, "povm")
     dim = _require_dim(doc, "dim", "povm")
@@ -194,7 +196,6 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
     operators = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}")
-    operators.setflags(write=False)  # PovmSet keeps a read-only stack without a copy
     p = PovmSet(dim=dim, operators=operators, scaling=None)
     if validate:
         report = validate_povm(p, ctx)
@@ -204,8 +205,7 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
                 completeness_residual=report.completeness_residual,
                 min_eigenvalues=[d.min_eigenvalue for d in report.operators],
             )
-        f = p.operators[:dim]
-        bad = np.flatnonzero(~rank_one_rule(f, *diagonal_pivot(f), ctx)[2])
+        bad = np.flatnonzero(~_validated(p, ctx)[1])  # read from validate_povm's cached pass
         if bad.size:
             raise InvalidPovm(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     return p

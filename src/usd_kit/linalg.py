@@ -39,7 +39,8 @@ class ToleranceContext:
         Bound on equality residuals in the Frobenius norm.  Two rules built
         on it are each written once in this module: a matrix ``X`` is
         Hermitian when ``||X - X^dag||_F <= eq_tol * max(1, ||X||_F)``
-        (:func:`hermiticity`), and an ``n x n`` matrix ``Q`` is unitary when
+        (:func:`hermiticity`; ``duality.validate_povm`` applies the same rule
+        to a whole POVM stack), and an ``n x n`` matrix ``Q`` is unitary when
         ``||Q^dag Q - I||_F <= eq_tol * max(1, n)`` (:func:`check_unitary`).
     psd_tol : float
         Slack allowed below zero for eigenvalues of nominally positive

@@ -11,6 +11,7 @@ import numpy as np
 
 from usd_kit.duality import StateSet, state_set
 from usd_kit.equivalence import ProjectiveBasis, projective_basis
+from usd_kit.linalg import DEFAULT_TOL
 
 FIG1_GAMMA = 0.5
 # sqrt(2) * gamma / sqrt(1 + gamma^2) at gamma = 0.5
@@ -114,3 +115,16 @@ def random_state_set(
         m /= np.linalg.norm(m, axis=0)
         if np.linalg.cond(m) <= max_cond:
             return state_set(m)
+
+
+def oracle_report(ops: np.ndarray):
+    """Ranks, smallest eigenvalues and verdict from ``eigvalsh`` of the whole
+    symmetrized stack, with the Hermiticity and completeness rules restated."""
+    tol = DEFAULT_TOL
+    w = np.linalg.eigvalsh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)
+    herm = np.linalg.norm(ops - ops.conj().transpose(0, 2, 1), axis=(1, 2))
+    norms = np.linalg.norm(ops, axis=(1, 2))
+    completeness = np.linalg.norm(ops.sum(axis=0) - np.eye(ops.shape[1]))
+    valid = (np.all(herm <= tol.eq_tol * np.maximum(1.0, norms))
+             and np.all(w[:, 0] >= -tol.psd_tol) and completeness <= tol.eq_tol)
+    return np.count_nonzero(w > tol.psd_tol, axis=1).tolist(), w[:, 0], bool(valid)

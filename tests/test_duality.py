@@ -1,29 +1,38 @@
 import numpy as np
 import pytest
 
+from usd_kit import duality, io
+from usd_kit.discrimination import RandomSource, sample_outcomes, state_ensemble, usd_report
 from usd_kit.duality import (
     StateSet,
+    _blocks,
+    _stack_pass,
     build_usd_povm,
     check_density_matrix,
+    diagonal_pivot,
     dual_set,
     outcome_probabilities,
+    rank_one_rule,
     state_set,
     subspace_reduce,
     validate_povm,
 )
 from usd_kit.duality import PovmSet
+from usd_kit.equivalence import computational_basis, lossy_from_povm
 from usd_kit.errors import (
     DimensionMismatch,
     InfeasibleScaling,
     InvalidDensityMatrix,
+    InvalidPovm,
     InvalidStateSet,
     ParamOutOfRange,
     RankDeficient,
+    RankMismatch,
     SingularStates,
 )
-from usd_kit.linalg import DEFAULT_TOL
+from usd_kit.linalg import DEFAULT_TOL, ToleranceContext
 
-from helpers import fig1_states, random_complex, random_density, random_state_set
+from helpers import fig1_states, oracle_report, random_complex, random_density, random_state_set
 
 
 def frob(a):
@@ -164,6 +173,18 @@ def test_povm_operators_are_one_read_only_stack():
     assert built.operators.shape == (3, 2, 2) and not built.operators.flags.writeable
 
 
+def test_povm_copies_a_read_only_view_of_a_writable_stack():
+    ops = np.array(build_usd_povm(state_set(fig1_states())).operators)
+    view = ops.view()
+    view.setflags(write=False)
+    p = PovmSet(dim=2, operators=view)
+    assert not np.shares_memory(p.operators, ops)
+    ops[0] = 0.0  # a write to the caller's stack reaches neither the POVM nor its cached report
+    assert validate_povm(p).valid
+    assert PovmSet(dim=2, operators=p.operators).operators is p.operators
+    assert PovmSet(dim=2, operators=np.asfortranarray(ops)).operators.flags.c_contiguous
+
+
 @pytest.mark.parametrize(
     "ops",
     [
@@ -250,11 +271,143 @@ def test_validate_eigensolves_only_the_inconclusive_operator(monkeypatch):
     assert [d.rank for d in report.operators] == [1] * n + [n - 1]
 
 
+def test_validate_caches_the_report_per_tolerance_context(monkeypatch):
+    p = build_usd_povm(random_state_set(np.random.default_rng(5), 8))
+    calls = record_calls(monkeypatch, "eigvalsh")
+    report = validate_povm(p)
+    assert validate_povm(p) is report
+    assert validate_povm(p, ToleranceContext(eq_tol=1e-8)) is not report
+    assert len(calls) == 2
+
+
+def test_validated_load_and_sampling_share_one_pass_and_one_eigensolve(monkeypatch):
+    s = random_state_set(np.random.default_rng(6), 8)
+    doc = io.povm_doc(build_usd_povm(s))
+    calls = record_calls(monkeypatch, "eigvalsh")
+    passes = []
+    monkeypatch.setattr(duality, "_stack_pass", lambda *args: passes.append(1) or _stack_pass(*args))
+    p = io.povm_from_doc(doc)
+    sample_outcomes(state_ensemble(s, np.full(8, 0.125)), p, 100, RandomSource(seed=1))
+    assert calls == [(1, 8, 8)]
+    assert passes == [1]  # the load's rank-one verdict forms no defect a second time
+
+
 def test_state_set_and_build_share_one_svd(monkeypatch):
     m = random_complex(np.random.default_rng(4), 8)
     calls = record_calls(monkeypatch, "svd")
     build_usd_povm(state_set(m / np.linalg.norm(m, axis=0)))
     assert calls == [(8, 8)]
+
+
+# -- the blocked stack pass against a per-operator reference ------------------------
+
+# One block up to N = 25; N = 26 splits 24 + 3; N = 32 and 64 end in a block of one.
+BLOCK_DIMS = [1, 2, 8, 25, 26, 32, 64]
+
+
+def block_test_states(n: int) -> StateSet:
+    m = random_complex(np.random.default_rng([n, 1]), n)
+    return state_set(m / np.linalg.norm(m, axis=0))
+
+
+def block_test_povm(n: int, variant: str) -> PovmSet:
+    """A USD POVM at half the uniform weight, so the inconclusive operator has
+    room.  ``non_hermitian`` breaks the Hermiticity of the first operator of
+    the last block; ``rank_two`` gives the first operator of the middle block a
+    second eigenvalue of 1e-3 of its first, taken from the inconclusive one;
+    ``tiny`` moves all but 1e-10 of the last detection operator's norm to the
+    inconclusive one, so its pivot is aligned under the relative bound only."""
+    rng = np.random.default_rng(n)
+    s = block_test_states(n)
+    ops = np.array(build_usd_povm(s, [0.5 * s.sv[-1] ** 2] * n).operators)
+    blocks = _blocks(ops)
+    if variant == "non_hermitian":
+        ops[blocks[-1].start] += 1e-6j * np.triu(np.ones((n, n)))
+    elif variant == "rank_two":
+        k = blocks[(len(blocks) - 1) // 2].start
+        d = ops[k, :, np.argmax(np.diagonal(ops[k]).real)]
+        v = random_complex(rng, n, 1)[:, 0]
+        v -= d * (d.conj() @ v) / (d.conj() @ d)  # orthogonal to the range of F_k
+        extra = 1e-3 * np.linalg.norm(ops[k]) * np.outer(v, v.conj()) / (v.conj() @ v).real
+        ops[k] += extra
+        ops[-1] -= extra
+    elif variant == "tiny":
+        extra = (1.0 - 1e-10 / np.linalg.norm(ops[n - 1])) * ops[n - 1]
+        ops[n - 1] -= extra
+        ops[-1] += extra
+    return PovmSet(dim=n, operators=ops)
+
+
+def per_operator_reference(ops: np.ndarray, n: int):
+    """Norms, Hermiticity residuals and diagonal-pivot defects, one operator at a time."""
+    rows, weights = diagonal_pivot(ops[:n])
+    norms = np.array([np.linalg.norm(f) for f in ops])
+    herm = np.array([np.linalg.norm(f - f.conj().T) for f in ops])
+    defects = np.array([np.linalg.norm(f - np.outer(r.conj(), r / w)) for f, r, w in zip(ops, rows, weights)])
+    return rows, weights, norms, herm, defects
+
+
+@pytest.mark.parametrize(
+    "n, variant",
+    [(n, v) for n in BLOCK_DIMS for v in ("clean", "non_hermitian", "rank_two", "tiny")
+     if (n, v) != (1, "rank_two")],
+)
+def test_stack_pass_matches_the_per_operator_reference(n, variant):
+    p = block_test_povm(n, variant)
+    ops, tol = p.operators, DEFAULT_TOL
+    rows, weights, norms, herm, defects = per_operator_reference(ops, n)
+    asked = weights > tol.psd_tol * np.minimum(1.0, norms[:n])
+    assert asked.all()
+    got = _stack_pass(ops, rows, weights, tol.psd_tol)
+    assert np.array_equal(got[0], norms) and np.array_equal(got[1], herm)
+    assert np.array_equal(got[2], np.append(defects, np.inf))
+
+    # the rank-one rule on the diagonal pivot and on the computational basis,
+    # lossy_from_povm's pivot there, against the rule one operator at a time
+    bound = tol.psd_tol * norms[:n]
+    diag = np.arange(n)
+    for r, w in [(rows, weights), (ops[diag, diag], ops[diag, diag, diag].real)]:
+        reference = [wk > b and np.linalg.norm(f - np.outer(rk.conj(), rk / wk)) <= b
+                     for f, rk, wk, b in zip(ops, r, w, bound)]
+        rule = rank_one_rule(ops[:n], r, w)
+        assert np.array_equal(rule[0], norms[:n]) and rule[2].tolist() == reference
+    passed = (weights > bound) & (defects <= bound)
+    assert passed.all() or variant != "clean"
+    assert not passed.all() or variant != "rank_two"
+
+    # validate_povm: residuals, certified bounds, ranks and verdict
+    ranks, _, valid = oracle_report(np.asarray(ops))
+    report = validate_povm(p)
+    assert [d.hermiticity_residual for d in report.operators] == herm.tolist()
+    assert [d.rank for d in report.operators] == ranks
+    assert report.valid is valid is (variant != "non_hermitian")
+    certified = np.flatnonzero((weights > tol.psd_tol) & (defects <= tol.psd_tol))
+    assert [report.operators[k].min_eigenvalue for k in certified] == (0.0 - defects[certified]).tolist()
+
+    # outcome probabilities of the states behind the POVM
+    s = block_test_states(n)
+    a = np.asarray(s.states)
+    probs = np.clip(np.array([np.sum(a.conj() * (f @ a), axis=0).real for f in ops]).T, 0.0, None)
+    r = usd_report(state_ensemble(s, np.full(n, 1.0 / n)), p)
+    errors = probs[:, :n].copy()
+    np.fill_diagonal(errors, 0.0)
+    assert np.array_equal(r.per_state_success, np.diagonal(probs))
+    assert np.array_equal(r.error_matrix, errors)
+    assert np.array_equal(r.inconclusive_per_state, probs[:, n])
+
+    # loading and K reconstruction reject exactly what the reference rejects
+    bad = np.flatnonzero(~passed)
+    if not valid:
+        with pytest.raises(InvalidPovm, match="failed validation on load"):
+            io.povm_from_doc(io.povm_doc(p))
+    elif bad.size:
+        with pytest.raises(InvalidPovm) as err:
+            io.povm_from_doc(io.povm_doc(p))
+        assert err.value.context == {"operator": int(bad[0]) + 1}
+        with pytest.raises(RankMismatch):
+            lossy_from_povm(p, computational_basis(n))
+    else:
+        io.povm_from_doc(io.povm_doc(p))
 
 
 @pytest.mark.parametrize("residual, valid", [(0.5e-10, True), (2e-10, False)])

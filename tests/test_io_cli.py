@@ -283,6 +283,26 @@ def test_cli_k_from_povm_with_phases(tmp_path, capsys):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-9
 
 
+def test_cli_k_from_povm_negative_first_phase_in_either_spelling(tmp_path, capsys):
+    k_path, _ = write_fig1_files(tmp_path)
+    povm_path = tmp_path / "povm.json"
+    main(["povm-from-k", "--k", str(k_path), "--out", str(povm_path)])
+    outputs = []
+    for spelling in (["--phases", "-1.2,0.3"], ["--phases=-1.2,0.3"]):
+        out_path = tmp_path / f"k{len(outputs)}.json"
+        assert main(["k-from-povm", "--povm", str(povm_path), *spelling, "--out", str(out_path)]) == 0
+        outputs.append(out_path.read_text())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    k = io.matrix_from_doc(json.loads(outputs[0]))
+    assert np.angle(k[0, 0]) == pytest.approx(-1.2)  # row i of Psi^dag K carries e^{i phi_i}
+    # a non-finite first phase reaches the phase check in either spelling too
+    out_path = tmp_path / "k_inf.json"
+    assert main(["k-from-povm", "--povm", str(povm_path), "--phases", "-inf,0", "--out", str(out_path)]) == 2
+    assert one_envelope(capsys.readouterr().err)["code"] == "param_out_of_range"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("phases", ["inf,0", "0,nan", "-inf,0"])
 def test_cli_k_from_povm_non_finite_phase_exit_2(tmp_path, capsys, phases):
     k_path, _ = write_fig1_files(tmp_path)

@@ -48,7 +48,7 @@ from usd_kit.errors import (
 )
 from usd_kit.linalg import DEFAULT_TOL, gram_schmidt
 
-from helpers import random_complex, random_unitary
+from helpers import oracle_report, random_complex, random_unitary
 
 PROPERTY = settings(max_examples=10, deadline=None)
 DIMS = st.integers(1, 64)
@@ -195,19 +195,6 @@ def test_rank_one_rule_boundary_under_both_pivots(dim, seed):
     p = povm_with_second_eigenvalue(q, tol * alignment / 1.01)
     f1 = povm_from_lossy(lossy_from_povm(p, basis), basis).operators[0]
     assert np.linalg.norm(f1 - p.operators[0]) <= tol * np.linalg.norm(p.operators[0])
-
-
-def oracle_report(ops: np.ndarray):
-    """Ranks, smallest eigenvalues and verdict from ``eigvalsh`` of the whole
-    symmetrized stack, with the Hermiticity and completeness rules restated."""
-    tol = DEFAULT_TOL
-    w = np.linalg.eigvalsh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)
-    herm = np.linalg.norm(ops - ops.conj().transpose(0, 2, 1), axis=(1, 2))
-    norms = np.linalg.norm(ops, axis=(1, 2))
-    completeness = np.linalg.norm(ops.sum(axis=0) - np.eye(ops.shape[1]))
-    valid = (np.all(herm <= tol.eq_tol * np.maximum(1.0, norms))
-             and np.all(w[:, 0] >= -tol.psd_tol) and completeness <= tol.eq_tol)
-    return np.count_nonzero(w > tol.psd_tol, axis=1).tolist(), w[:, 0], bool(valid)
 
 
 def assert_certificate_agrees(p: PovmSet) -> None:
