@@ -169,8 +169,7 @@ def sample_outcomes(
         negative or above ``2**63 - 1``, the largest ``int64`` count.
     InvalidPovm
         When the POVM fails validation (Hermiticity, positivity or
-        completeness); the report is the one :func:`validate_povm` cached on
-        the POVM, so a POVM is validated once per ``ctx``, not once per call.
+        completeness).
     """
     trials = trials_per_state
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or not 0 <= trials < 2**63:

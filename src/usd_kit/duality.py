@@ -78,12 +78,8 @@ class PovmSet:
 
     ``operators`` is one read-only complex ``(N+1, N, N)`` array, stacked
     from any sequence of N+1 ``N x N`` matrices (``DimensionMismatch``
-    otherwise).  A read-only, C-ordered complex array is kept, not copied,
-    when no writable array shares its memory; anything else, a read-only view
-    of a writable array included, is copied.  So nothing writes to the stack,
-    and :func:`validate_povm` caches its report on the set, once per
-    :class:`ToleranceContext`.  The
-    first N operators are the rank-one detection operators; the last one
+    otherwise; a read-only complex array is kept, not copied).  The first
+    N operators are the rank-one detection operators; the last one
     collects the inconclusive outcome.  ``scaling`` holds the weights
     applied to the dual dyads when they are known (construction from an
     explicit state set); it is ``None`` for POVMs obtained from a lossy
@@ -101,24 +97,11 @@ class PovmSet:
             ops = None
         if ops is None or ops.shape != (self.dim + 1, self.dim, self.dim):
             raise DimensionMismatch(f"expected {self.dim + 1} operators of size {self.dim}x{self.dim}")
-        if not (_sealed(ops) and ops.flags.c_contiguous):
-            ops = np.array(ops, order="C")
-            ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "_reports", {})  # validate_povm's cache, not a field
+        object.__setattr__(self, "operators", linalg.frozen(ops) if ops.flags.writeable else ops)
 
     @property
     def inconclusive(self) -> np.ndarray:
         return self.operators[-1]
-
-
-def _sealed(a: np.ndarray) -> bool:
-    """Whether ``a`` and every array it views are read-only."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
 
 
 @dataclass(frozen=True)
@@ -287,32 +270,29 @@ def _blocks(ops: np.ndarray) -> list[slice]:
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """``||x_k||_F`` of each matrix of the complex block ``x``, bit for bit
-    ``np.linalg.norm``: the same strided dot products ``re.re + im.im``."""
+    """``||x_k||_F`` of each matrix of the C-ordered complex block ``x``, bit
+    for bit ``np.linalg.norm``: the same strided dot products ``re.re + im.im``."""
     v = x.reshape(len(x), 1, -1)
     re, im = v.real, v.imag
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
-def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol: float,
-                hermiticity: bool = True):
+def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol: float):
     """One pass over the ``(M, N, N)`` stack ``ops``, block by block (:func:`_blocks`).
 
     Returns, for each operator ``F_k``, ``||F_k||_F``, the Hermiticity
-    residual ``||F_k - F_k^dag||_F`` (``None`` without ``hermiticity``) and
-    the pivot defect ``||F_k - r_k^dag r_k / w_k||_F``.  The defect is formed
-    for the first ``len(rows)`` operators whose pivot is aligned under the
-    absolute or the relative bound, ``w_k > psd_tol * min(1, ||F_k||_F)``; it
-    is ``inf`` elsewhere, and no other ``w_k`` is divided by.
+    residual ``||F_k - F_k^dag||_F`` and the pivot defect
+    ``||F_k - r_k^dag r_k / w_k||_F``.  The defect is formed for the first
+    ``len(rows)`` operators whose pivot is aligned under the absolute or the
+    relative bound, ``w_k > psd_tol * min(1, ||F_k||_F)``; it is ``inf``
+    elsewhere, and no other ``w_k`` is divided by.
     """
-    norms, defects = np.empty(len(ops)), np.full(len(ops), np.inf)
-    herm = np.empty(len(ops)) if hermiticity else None
+    norms, herm, defects = np.empty(len(ops)), np.empty(len(ops)), np.full(len(ops), np.inf)
     for s in _blocks(ops):
         x = ops[s]
         norms[s] = _norms(x)
-        if hermiticity:
-            t = x.transpose(0, 2, 1).copy()
-            herm[s] = _norms(np.subtract(x, np.conjugate(t, out=t), out=t))
+        t = x.transpose(0, 2, 1).copy()
+        herm[s] = _norms(np.subtract(x, np.conjugate(t, out=t), out=t))
         w = weights[s]  # shorter than the block where the pivoted operators end
         k = np.flatnonzero(w > psd_tol * np.minimum(1.0, norms[s][: len(w)]))
         if k.size:
@@ -343,7 +323,7 @@ def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContex
     of at most ``BLOCK_BYTES`` (256 KiB), so no temporary is larger than one
     block.
     """
-    norms, _, defects = _stack_pass(f, rows, weights, ctx.psd_tol, hermiticity=False)
+    norms, _, defects = _stack_pass(f, rows, weights, ctx.psd_tol)
     return (norms, *_relative_rule(norms, weights, defects, ctx))
 
 
@@ -353,7 +333,6 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     Never raises; the boolean verdict is true when every operator meets the
     Hermiticity rule of :class:`ToleranceContext`, has smallest eigenvalue
     at least ``-psd_tol``, and the operators sum to identity within ``eq_tol``.
-    The report is computed once per ``ctx`` and cached on ``p``.
 
     Detection operators are certified rank one in ``O(N^2)`` each, with no
     eigensolve: pivoted by :func:`diagonal_pivot`, ``F_k`` is certified when
@@ -374,10 +353,7 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
 
 def _validated(p: PovmSet, ctx: ToleranceContext) -> tuple[ValidationReport, np.ndarray]:
     """The report of :func:`validate_povm` and, from the same pass, whether each
-    detection operator passes :func:`rank_one_rule` on its diagonal pivot;
-    computed once per ``ctx`` and cached on ``p``."""
-    if ctx in p._reports:
-        return p._reports[ctx]
+    detection operator passes :func:`rank_one_rule` on its diagonal pivot."""
     ops, n = p.operators, p.dim
     rows, weights = diagonal_pivot(ops[:n])
     norms, herm, defects = _stack_pass(ops, rows, weights, ctx.psd_tol)
@@ -389,7 +365,7 @@ def _validated(p: PovmSet, ctx: ToleranceContext) -> tuple[ValidationReport, np.
     # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
     # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
     # so only a stack that breaks the rule pays for symmetrizing what is eigensolved.
-    hermitian = bool(np.all(herm <= ctx.eq_tol * np.maximum(1.0, norms)))  # linalg.hermiticity's rule
+    hermitian = bool(np.all(linalg.hermitian_rule(herm, norms, ctx)))
     sub = ops[rest]
     if not hermitian:
         sub = (sub + sub.conj().transpose(0, 2, 1)) / 2.0
@@ -399,13 +375,11 @@ def _validated(p: PovmSet, ctx: ToleranceContext) -> tuple[ValidationReport, np.
     ranks = np.ones(n + 1, dtype=int)
     ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
     completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
-    report = ValidationReport(
+    return ValidationReport(
         operators=tuple(map(OperatorDiagnostics, herm.tolist(), min_eig.tolist(), ranks.tolist())),
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
-    )
-    p._reports[ctx] = report, rank_one
-    return report, rank_one
+    ), rank_one
 
 
 def check_density_matrix(rho, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

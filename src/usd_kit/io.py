@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, _validated, state_set, validate_povm
+from .duality import PovmSet, _validated, state_set
 from .discrimination import StateEnsemble, state_ensemble
 from .errors import InvalidPovm, ParseError
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -100,7 +100,6 @@ def _pairs(data, shape: tuple, where) -> np.ndarray:
     is walked again, by the same rule, only to name its first bad spot."""
     x = _floats(data, (*shape, 2))
     if x is not None:
-        x.setflags(write=False)  # so a POVM stack is kept without a copy
         return x.view(complex)[..., 0]
     full, path = (*shape, 2), ()
     while len(path) < len(full) and isinstance(data, list) and len(data) == full[len(path)]:
@@ -196,16 +195,17 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
     operators = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}")
+    operators.setflags(write=False)  # PovmSet keeps a read-only stack without a copy
     p = PovmSet(dim=dim, operators=operators, scaling=None)
     if validate:
-        report = validate_povm(p, ctx)
+        report, rank_one = _validated(p, ctx)
         if not report.valid:
             raise InvalidPovm(
                 "POVM failed validation on load",
                 completeness_residual=report.completeness_residual,
                 min_eigenvalues=[d.min_eigenvalue for d in report.operators],
             )
-        bad = np.flatnonzero(~_validated(p, ctx)[1])  # read from validate_povm's cached pass
+        bad = np.flatnonzero(~rank_one)
         if bad.size:
             raise InvalidPovm(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     return p

@@ -39,8 +39,7 @@ class ToleranceContext:
         Bound on equality residuals in the Frobenius norm.  Two rules built
         on it are each written once in this module: a matrix ``X`` is
         Hermitian when ``||X - X^dag||_F <= eq_tol * max(1, ||X||_F)``
-        (:func:`hermiticity`; ``duality.validate_povm`` applies the same rule
-        to a whole POVM stack), and an ``n x n`` matrix ``Q`` is unitary when
+        (:func:`hermitian_rule`), and an ``n x n`` matrix ``Q`` is unitary when
         ``||Q^dag Q - I||_F <= eq_tol * max(1, n)`` (:func:`check_unitary`).
     psd_tol : float
         Slack allowed below zero for eigenvalues of nominally positive
@@ -107,13 +106,19 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def hermitian_rule(residual, norm, ctx: ToleranceContext = DEFAULT_TOL):
+    """The Hermiticity rule ``residual <= eq_tol * max(1, norm)`` for residuals
+    ``||h - h^dag||_F`` and norms ``||h||_F``, elementwise on arrays of them."""
+    return residual <= ctx.eq_tol * np.maximum(1.0, norm)
+
+
 def hermiticity(h: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[float, bool]:
-    """Residual ``||h - h^dag||_F`` and whether it meets the Hermiticity rule
-    ``residual <= eq_tol * max(1, ||h||_F)``; ``||h||_F`` is computed only
-    when the residual exceeds ``eq_tol``.
+    """Residual ``||h - h^dag||_F`` and whether it meets :func:`hermitian_rule`;
+    ``||h||_F`` is computed only when the residual exceeds ``eq_tol``, below
+    which the rule always holds.
     """
     residual = frobenius(h - h.conj().T)
-    return residual, residual <= ctx.eq_tol or residual <= ctx.eq_tol * frobenius(h)
+    return residual, residual <= ctx.eq_tol or bool(hermitian_rule(residual, frobenius(h), ctx))
 
 
 def _check_hermitian(h: np.ndarray, ctx: ToleranceContext, name: str) -> None:

@@ -94,6 +94,26 @@ def test_hermitian_eigen_reconstruction(n):
         assert frob((v * w) @ v.conj().T - h) <= 1e-9 * max(frob(h), 1.0)
 
 
+@pytest.mark.parametrize("scale", [0.25, 4.0])
+@pytest.mark.parametrize("ratio", [0.999, 1.001])
+def test_hermitian_rule_on_arrays_matches_hermiticity(scale, ratio):
+    """The stack form of the rule gives each matrix the verdict of the
+    one-matrix check, on both sides of the bound ``eq_tol * max(1, ||h||_F)``."""
+    tol = linalg.DEFAULT_TOL
+    mats = []
+    for h in (scale * np.eye(3), scale * random_hermitian(np.random.default_rng(7), 3)):
+        bound = tol.eq_tol * max(1.0, frob(h))
+        skew = np.zeros((3, 3))
+        skew[0, 1] = ratio * bound  # ||skew - skew^dag||_F = sqrt(2) ||skew||_F
+        mats.append(h + skew / np.sqrt(2.0))
+    stack = np.array(mats)
+    residuals = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+    verdicts = linalg.hermitian_rule(residuals, np.linalg.norm(stack, axis=(1, 2)), tol)
+    assert verdicts.tolist() == [linalg.hermiticity(h, tol)[1] for h in mats]
+    assert verdicts.tolist() == [ratio < 1.0] * 2
+    assert not linalg.hermitian_rule(np.array([np.nan]), np.array([1.0]), tol)[0]
+
+
 # -- singular values / spectral norm -------------------------------------------
 
 def test_singular_values_diagonal():
