@@ -45,11 +45,7 @@ from .equivalence import (
     reduced_evolution,
 )
 from .linalg import (
-    HermitianEigen,
     ToleranceContext,
-    gram_schmidt,
-    hermitian_eigen,
-    inverse,
     psd_sqrt,
     singular_values,
     spectral_norm,
@@ -68,7 +64,6 @@ __all__ = [
     "DiscriminationReport",
     "DualSet",
     "Fig2Params",
-    "HermitianEigen",
     "LossyEvolution",
     "OutcomeStats",
     "PovmSet",
@@ -90,10 +85,7 @@ __all__ = [
     "fig1_as_embedding",
     "fig1_scenario",
     "fig2_scenario",
-    "gram_schmidt",
-    "hermitian_eigen",
     "inconclusive_rank",
-    "inverse",
     "lossy_from_povm",
     "make_lossy",
     "normalize_passive",

@@ -7,7 +7,7 @@ counter-based generator so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class RandomSource:
     """
 
     seed: int
-    algorithm: str = field(default="philox4x64")
 
     def __post_init__(self):
         seed = self.seed
@@ -118,10 +117,14 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet) -> np.ndarray:
             f"ensemble dimension {e.dim} does not match POVM dimension {p.dim}"
         )
     a, ops = e.states.states, p.operators
+    n, count = a.shape
     bra = a.conj()
-    # probs[i, j] = <alpha_i|F_j|alpha_i>, one block of operators at a time, so
-    # no temporary is larger than BLOCK_BYTES (256 KiB) however large the POVM.
-    probs = np.concatenate([np.sum(bra * (ops[s] @ a), axis=1).real for s in _blocks(ops)]).T
+    # probs[i, j] = <alpha_i|F_j|alpha_i>, one block of operators at a time as
+    # one (b N, N) @ (N, count) product, so no temporary is larger than
+    # BLOCK_BYTES (256 KiB) however large the POVM.
+    probs = np.concatenate(
+        [np.sum(bra * (ops[s].reshape(-1, n) @ a).reshape(-1, n, count), axis=1).real for s in _blocks(ops)]
+    ).T
     return np.clip(probs, 0.0, None)
 
 

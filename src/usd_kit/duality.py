@@ -245,12 +245,6 @@ def build_usd_povm(
     return p
 
 
-def operator_rank(f, ctx: ToleranceContext = DEFAULT_TOL) -> int:
-    """Numeric rank of a Hermitian operator: eigenvalues above ``psd_tol``."""
-    w = linalg.hermitian_eigvals(f, ctx)
-    return int(np.count_nonzero(w > ctx.psd_tol))
-
-
 def diagonal_pivot(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivot each operator ``F_k`` of the stack ``f`` on its largest diagonal
     entry ``j``: the rows ``r_k = F_k[j, :]`` and weights ``w_k = Re F_k[j, j]``,

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, operator_rank, rank_one_povm, rank_one_rule, state_set
+from .duality import PovmSet, StateSet, rank_one_povm, rank_one_rule, state_set
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
     GammaTooSmall,
+    NotHermitian,
     NotPassive,
     ParamOutOfRange,
     RankMismatch,
@@ -291,9 +292,21 @@ def reduced_evolution(
 
 
 def inconclusive_rank(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> int:
-    """Numeric rank of the inconclusive operator.
+    """Numeric rank of the inconclusive operator: its eigenvalues above
+    ``psd_tol``.
 
     Strictly below N whenever the generating operator sits exactly on the
     passiveness boundary (largest singular value one).
+
+    Raises
+    ------
+    NotHermitian
+        When the inconclusive operator breaks the Hermiticity rule.
     """
-    return operator_rank(p.inconclusive, ctx)
+    f = p.inconclusive
+    residual, hermitian = linalg.hermiticity(f, ctx)
+    if not hermitian:
+        raise NotHermitian(
+            f"inconclusive operator is not Hermitian (residual {residual:.3e})", residual=residual
+        )
+    return int(np.count_nonzero(np.linalg.eigvalsh(f) > ctx.psd_tol))

@@ -107,7 +107,3 @@ class DegenerateBasisAlignment(NumericError):
 
 class ZeroProbabilityBranch(NumericError):
     code = "zero_probability_branch"
-
-
-class SingularAtThisZ(NumericError):
-    code = "singular_at_this_z"

@@ -62,19 +62,6 @@ class ToleranceContext:
 DEFAULT_TOL = ToleranceContext()
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted in descending order;
-    ``eigenvectors`` holds the matching orthonormal eigenvectors as
-    columns, so ``H = V diag(w) V^dag``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def frozen(a: np.ndarray) -> np.ndarray:
     """Return a read-only copy, safe to share across threads."""
     out = np.array(a, copy=True)
@@ -142,28 +129,18 @@ def check_unitary(q: np.ndarray, ctx: ToleranceContext, name: str) -> float:
     return residual
 
 
-def hermitian_eigen(h, ctx: ToleranceContext = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises
-    ------
-    NotHermitian
-        If ``||h - h^dag||_F`` exceeds ``eq_tol`` relative to ``||h||_F``.
+def _hermitian_eigen(h, ctx: ToleranceContext) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, descending, and matching orthonormal eigenvector columns of
+    a Hermitian matrix; raises ``NotHermitian`` when ``h`` breaks
+    :func:`hermitian_rule`.
     """
     hm = require_square(h, "Hermitian input")
     _check_hermitian(hm, ctx, "eigen input")
     w, v = np.linalg.eigh(hm)
     order = np.argsort(w)[::-1]
-    return HermitianEigen(eigenvalues=w[order].copy(), eigenvectors=v[:, order].copy())
-
-
-def hermitian_eigvals(h, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues, descending, of a Hermitian matrix; raises as
-    :func:`hermitian_eigen` does.
-    """
-    hm = require_square(h, "Hermitian input")
-    _check_hermitian(hm, ctx, "eigen input")
-    return np.linalg.eigvalsh(hm)[::-1]
+    # v[:, order] is Fortran-ordered; the C-ordered copy fixes the layout, and
+    # with it the rounding, of the products the callers form from it.
+    return w[order].copy(), v[:, order].copy()
 
 
 def singular_values(k, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
@@ -191,14 +168,9 @@ def sv_condition(sv: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def condition_number(a, ctx: ToleranceContext = DEFAULT_TOL) -> float:
-    """Ratio of largest to smallest singular value (inf when rank deficient)."""
-    return sv_condition(singular_values(a, ctx))
-
-
 def check_invertible(sv: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> None:
-    """Condition-number cap of :func:`inverse`, applied to the descending
-    singular values of a square matrix.
+    """Condition-number cap applied, before inverting a square matrix, to its
+    descending singular values.
 
     Raises
     ------
@@ -215,15 +187,6 @@ def check_invertible(sv: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> Non
         )
 
 
-def inverse(a, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse guarded by the condition-number cap; raises
-    ``SingularMatrix`` as :func:`check_invertible` does.
-    """
-    am = require_square(a, "inverse input")
-    check_invertible(singular_values(am, ctx), ctx)
-    return np.linalg.inv(am)
-
-
 def unitary_exp(h, t: float, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     """Unitary propagator ``exp(-i h t)`` for Hermitian ``h``.
 
@@ -233,9 +196,8 @@ def unitary_exp(h, t: float, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     """
     if not np.isfinite(t):
         raise ParamOutOfRange(f"evolution time must be finite, got {t!r}")
-    eig = hermitian_eigen(h, ctx)
-    phases = np.exp(-1j * eig.eigenvalues * float(t))
-    v = eig.eigenvectors
+    w, v = _hermitian_eigen(h, ctx)
+    phases = np.exp(-1j * w * float(t))
     return (v * phases) @ v.conj().T
 
 
@@ -251,14 +213,12 @@ def psd_sqrt(f, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     NotPositive
         If the smallest eigenvalue is below ``-psd_tol``.
     """
-    eig = hermitian_eigen(f, ctx)
-    w = eig.eigenvalues
+    w, v = _hermitian_eigen(f, ctx)
     if w.size and w[-1] < -ctx.psd_tol:
         raise NotPositive(
             f"matrix has eigenvalue {w[-1]:.3e} below -psd_tol={-ctx.psd_tol:.1e}",
             min_eigenvalue=float(w[-1]),
         )
-    v = eig.eigenvectors
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (root + root.conj().T) / 2.0
 
@@ -299,11 +259,3 @@ def orthonormal_frame(vectors, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarra
         j = int(dependent[0]) if dependent.size else n
         raise RankDeficient(f"column {j} is linearly dependent on earlier columns", column=j)
     return phase_columns(q, ctx)[0]
-
-
-def gram_schmidt(vectors, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormalize the columns of ``vectors``: the leading ``L`` columns of
-    :func:`orthonormal_frame`, with its spans, phases and ``RankDeficient``.
-    """
-    m = as_matrix(vectors, "vectors")
-    return orthonormal_frame(m, ctx)[:, : m.shape[1]]

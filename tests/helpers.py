@@ -43,13 +43,6 @@ def fig2_propagator_closed_form(z: float, coupling: float = 1.0) -> np.ndarray:
     return np.exp(1j * az) * np.eye(3) + (np.exp(-2j * az) - np.exp(1j * az)) / 3.0 * np.ones((3, 3))
 
 
-def inverse_2x2(m: np.ndarray) -> np.ndarray:
-    """Cofactor formula, independent of the library's inverse."""
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    det = a * d - b * c
-    return np.array([[d, -b], [-c, a]], dtype=complex) / det
-
-
 def power_iteration_spectral_norm(k: np.ndarray, iters: int = 50000) -> float:
     """Top singular value via power iteration on K^dag K, run to convergence."""
     gram = k.conj().T @ k

@@ -83,6 +83,17 @@ def test_dual_fig1_pairing():
     assert frob(pairing - np.eye(2)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_dual_pairing_within_conditioned_budget(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        m = random_complex(rng, n) + 2.0 * np.eye(n)
+        s = state_set(m / np.linalg.norm(m, axis=0))
+        d = np.asarray(dual_set(s).duals)
+        cond = np.linalg.cond(s.states)
+        assert frob(d.conj().T @ np.asarray(s.states) - np.eye(n)) <= 1e-10 * cond
+
+
 def test_dual_requires_square_state_set():
     s = state_set(np.eye(3)[:, :2])
     with pytest.raises(DimensionMismatch):

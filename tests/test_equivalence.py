@@ -17,6 +17,7 @@ from usd_kit.equivalence import (
 from usd_kit.errors import (
     DegenerateBasisAlignment,
     GammaTooSmall,
+    NotHermitian,
     NotPassive,
     NotUnitary,
     ParamOutOfRange,
@@ -302,6 +303,13 @@ def test_inconclusive_rank_fig1_drops_below_dimension():
 def test_inconclusive_rank_full_when_strictly_contractive():
     p = povm_from_lossy(make_lossy(np.diag([0.9, 0.5])), computational_basis(2))
     assert inconclusive_rank(p) == 2
+
+
+def test_inconclusive_rank_rejects_non_hermitian_operator():
+    ops = np.array(povm_from_lossy(make_lossy(fig1_k()), computational_basis(2)).operators)
+    ops[-1, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian):
+        inconclusive_rank(PovmSet(dim=2, operators=ops))
 
 
 # -- invariants ------------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from helpers import (
     fig1_k,
     fig2_hamiltonian,
     fig2_propagator_closed_form,
-    inverse_2x2,
     jordan_k,
     power_iteration_spectral_norm,
     random_complex,
@@ -27,60 +26,44 @@ def frob(a):
     return np.linalg.norm(a)
 
 
-# -- inverse -----------------------------------------------------------------
-
-def test_inverse_identity():
-    assert frob(linalg.inverse(np.eye(3)) - np.eye(3)) < 1e-14
-
-
-def test_inverse_2x2_against_cofactor_oracle():
-    m = np.array([[1.0, 1.0 / np.sqrt(2.0)], [0.0, 1.0 / np.sqrt(2.0)]], dtype=complex)
-    expected = inverse_2x2(m)
-    assert frob(expected - np.array([[1.0, -1.0], [0.0, np.sqrt(2.0)]])) < 1e-14
-    assert frob(linalg.inverse(m) - expected) < 1e-12
-
+# -- invertibility guard ------------------------------------------------------
 
 def test_inverse_identical_columns_is_singular():
     m = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(SingularMatrix):
-        linalg.inverse(m)
+        linalg.check_invertible(linalg.singular_values(m))
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_inverse_roundtrip_within_conditioned_budget(n):
-    rng = np.random.default_rng(100 + n)
-    for _ in range(20):
-        m = random_complex(rng, n) + 2.0 * np.eye(n)
-        cond = np.linalg.cond(m)
-        residual = frob(m @ linalg.inverse(m) - np.eye(n))
-        assert residual <= 1e-10 * cond
-
-
-# -- hermitian_eigen -----------------------------------------------------------
+# -- the Hermitian eigendecomposition behind unitary_exp and psd_sqrt ----------
 
 def test_hermitian_eigen_diagonal():
-    eig = linalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(eig.eigenvalues, [3.0, 2.0, 1.0], atol=1e-14)
+    w = np.array([3.0, 1.0, 2.0])
+    assert frob(linalg.unitary_exp(np.diag(w), 0.7) - np.diag(np.exp(-0.7j * w))) < 1e-14
+    assert frob(linalg.psd_sqrt(np.diag(w)) - np.diag(np.sqrt(w))) < 1e-14
 
 
 def test_hermitian_eigen_fig2_hamiltonian():
-    # all-ones matrix has spectrum (3, 0, 0), so J - I gives (2, -1, -1)
-    eig = linalg.hermitian_eigen(fig2_hamiltonian())
-    assert np.allclose(eig.eigenvalues, [2.0, -1.0, -1.0], atol=1e-12)
+    # all-ones matrix has spectrum (3, 0, 0), so J - I gives (2, -1, -1):
+    # at t = 2 pi / 3 both phases e^{-2it} and e^{it} equal e^{2 pi i / 3}
+    h = fig2_hamiltonian()
+    u = linalg.unitary_exp(h, 2.0 * np.pi / 3.0)
+    assert frob(u - np.exp(2j * np.pi / 3.0) * np.eye(3)) < 1e-12
+    # h + 2I = I + 3P, P the projector on (1, 1, 1) / sqrt(3), has root I + P
+    assert frob(linalg.psd_sqrt(h + 2.0 * np.eye(3)) - (np.eye(3) + np.ones((3, 3)) / 3.0)) < 1e-12
 
 
 def test_hermitian_eigen_pauli_x():
-    eig = linalg.hermitian_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(eig.eigenvalues, [1.0, -1.0], atol=1e-14)
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert abs(abs(plus.conj() @ eig.eigenvectors[:, 0]) - 1.0) < 1e-12
-    assert abs(abs(minus.conj() @ eig.eigenvectors[:, 1]) - 1.0) < 1e-12
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for t in (0.3, 1.0, 2.5):
+        expected = np.cos(t) * np.eye(2) - 1j * np.sin(t) * x
+        assert frob(linalg.unitary_exp(x, t) - expected) < 1e-14
+    # I + X = 2 |+><+|, so its root is (I + X) / sqrt(2)
+    assert frob(linalg.psd_sqrt(np.eye(2) + x) - (np.eye(2) + x) / np.sqrt(2.0)) < 1e-14
 
 
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -88,10 +71,12 @@ def test_hermitian_eigen_reconstruction(n):
     rng = np.random.default_rng(200 + n)
     for _ in range(25):
         h = random_hermitian(rng, n)
-        eig = linalg.hermitian_eigen(h)
-        v, w = eig.eigenvectors, eig.eigenvalues
-        assert frob(v.conj().T @ v - np.eye(n)) <= 1e-9
-        assert frob((v * w) @ v.conj().T - h) <= 1e-9 * max(frob(h), 1.0)
+        u = linalg.unitary_exp(h, 0.9)
+        assert frob(u.conj().T @ u - np.eye(n)) <= 1e-9
+        assert frob(u @ h @ u.conj().T - h) <= 1e-9 * max(frob(h), 1.0)
+        f = h @ h
+        root = linalg.psd_sqrt(f)
+        assert frob(root @ root - f) <= 1e-9 * max(frob(f), 1.0)
 
 
 @pytest.mark.parametrize("scale", [0.25, 4.0])
@@ -136,10 +121,11 @@ def test_condition_number_1e10_is_resolved_and_invertible():
     rng = np.random.default_rng(8)
     sigma = np.logspace(0.0, -10.0, 8)
     m = (random_unitary(rng, 8) * sigma) @ random_unitary(rng, 8)
-    cond = linalg.condition_number(m)
+    sv = linalg.singular_values(m)
+    cond = linalg.sv_condition(sv)
     assert np.isfinite(cond)
     assert abs(cond / 1e10 - 1.0) < 0.01
-    assert linalg.inverse(m).shape == (8, 8)
+    linalg.check_invertible(sv)
 
 
 def test_spectral_norm_identity_and_unitary():
@@ -232,12 +218,12 @@ def test_psd_sqrt_squares_back():
     assert frob(root @ root - f) <= 1e-10 * frob(f)
 
 
-# -- gram_schmidt ----------------------------------------------------------------------
+# -- Gram-Schmidt: the leading columns of orthonormal_frame -------------------------
 
 def test_gram_schmidt_orthonormal_fixed_point():
     rng = np.random.default_rng(31)
     u = random_unitary(rng, 4)
-    out = linalg.gram_schmidt(u)
+    out = linalg.orthonormal_frame(u)
     # same columns up to the first-entry-real-positive phase convention
     for j in range(4):
         assert abs(abs(u[:, j].conj() @ out[:, j]) - 1.0) < 1e-12
@@ -247,20 +233,20 @@ def test_gram_schmidt_orthonormal_fixed_point():
 
 def test_gram_schmidt_two_vectors():
     m = np.column_stack([[1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2.0)])
-    out = linalg.gram_schmidt(m)
+    out = linalg.orthonormal_frame(m)
     assert frob(out - np.eye(2)) < 1e-12
 
 
 def test_gram_schmidt_rank_deficient():
     m = np.column_stack([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(RankDeficient):
-        linalg.gram_schmidt(m)
+        linalg.orthonormal_frame(m)
 
 
 def test_gram_schmidt_preserves_leading_spans():
     rng = np.random.default_rng(37)
     m = random_complex(rng, 6, 4)
-    q = linalg.gram_schmidt(m)
+    q = linalg.orthonormal_frame(m)[:, :4]
     assert frob(q.conj().T @ q - np.eye(4)) < 1e-12
     for j in range(4):
         lead = q[:, : j + 1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from usd_kit import linalg
 from usd_kit.discrimination import state_ensemble, usd_report
 from usd_kit.equivalence import inconclusive_rank, povm_from_lossy, reduced_evolution
 from usd_kit.errors import ParamOutOfRange
@@ -153,6 +154,14 @@ def test_fig2_coupling_only_rescales_z():
     a = fig2_scenario(Fig2Params(z=1.5, coupling=1.0))
     b = fig2_scenario(Fig2Params(z=0.75, coupling=2.0))
     assert frob(np.asarray(a.k.k) - np.asarray(b.k.k)) < 1e-12
+
+
+def test_fig2_reduced_operator_condition_is_at_most_three():
+    # singular values 1 and |e^{iaz} + 2 e^{-2iaz}| / 3, which lies in [1/3, 1]
+    special = [0.0, 1e-300, np.pi / 3, 2 * np.pi / 3, np.pi, 2 * np.pi, 1e300, -1e300]
+    grid = np.concatenate([np.linspace(-50.0, 50.0, 4001), special])
+    for z in grid:
+        assert linalg.sv_condition(fig2_scenario(Fig2Params(z=float(z))).k.sv) <= 3.0 + 1e-12
 
 
 def test_fig2_report_matches_expected():
