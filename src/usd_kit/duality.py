@@ -1,10 +1,10 @@
 """Bi-orthogonal dual sets and USD POVM construction over an N-level space.
 
 Given N linearly independent unit states, the dual vectors are the
-conjugated rows of the inverse of the state matrix; pairing each dual
-with a positive weight yields the rank-one detection operators of an
-unambiguous discrimination POVM, completed by an inconclusive operator.
-The largest uniform weight has the closed form ``sigma_min(A)^2``.
+columns of ``D = A^{-dag}``; pairing each dual with a positive weight
+yields the rank-one detection operators of an unambiguous discrimination
+POVM, completed by an inconclusive operator.  The largest uniform weight
+is ``sigma_min(A)^2``; it and the duals read one SVD of the state matrix.
 """
 
 from __future__ import annotations
@@ -38,18 +38,20 @@ class StateSet:
     """Unit-norm state vectors stored as the columns of ``states``.
 
     ``dim`` is the dimension of the carrier space; the number of columns
-    may be smaller (see :func:`subspace_reduce`) but never larger.
+    may be smaller (see :func:`subspace_reduce`) but never larger.  One thin
+    SVD ``svd = (U, s, V^dag)``, ``sv = s``, feeds the condition check, duals and weight.
     """
 
     dim: int
     states: np.ndarray
 
     @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return linalg.thin_svd(self.states)
+
+    @property
     def sv(self) -> np.ndarray:
-        """Singular values of ``states``, descending, from one SVD on first use:
-        the condition check, the dual-set guard and the closed-form weight
-        all read them."""
-        return linalg.frozen(linalg.singular_values(self.states))
+        return self.svd[1]
 
     @property
     def count(self) -> int:
@@ -154,7 +156,7 @@ def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
 
 
 def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> DualSet:
-    """Dual vectors of a complete state set: conjugated rows of ``A^{-1}``.
+    """Dual vectors of a complete state set: ``D = A^{-dag} = U S^{-1} V^dag``.
 
     Requires as many states as dimensions; with fewer states the duals
     are not uniquely defined, so rotate into a subspace first with
@@ -165,9 +167,9 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> DualSet:
             f"duals need {s.dim} states in dimension {s.dim}, got {s.count}; "
             "apply subspace_reduce first"
         )
-    linalg.check_invertible(s.sv, ctx)
-    a_inv = np.linalg.inv(s.states)
-    return DualSet(dim=s.dim, duals=linalg.frozen(a_inv.conj().T))
+    u, sv, vh = s.svd
+    linalg.check_invertible(sv, ctx)
+    return DualSet(dim=s.dim, duals=linalg.frozen((u / sv) @ vh))
 
 
 def rank_one_povm(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSet:
@@ -199,9 +201,9 @@ def build_usd_povm(
     ``strategy`` is either the string ``"uniform-max"`` or an explicit
     sequence of N positive weights.  ``"uniform-max"`` takes the largest
     shared weight that keeps the inconclusive operator positive, in
-    closed form: the duals ``D = A^{-dag}`` satisfy ``D D^dag = (A A^dag)^{-1}``,
-    so ``I - lambda D D^dag >= 0`` exactly when
-    ``lambda <= sigma_min(A)^2``.
+    closed form: from one SVD ``A = U S V^dag``, the duals give
+    ``I - lambda D D^dag = U (I - lambda S^{-2}) U^dag``, positive exactly when
+    ``lambda <= sigma_min(A)^2`` and, at that weight, to round-off below ``cond_max``.
 
     Raises
     ------

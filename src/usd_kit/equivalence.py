@@ -30,15 +30,19 @@ from .linalg import DEFAULT_TOL, ToleranceContext
 
 @dataclass(frozen=True)
 class LossyEvolution:
-    """Evolution operator with cached singular values and passiveness flag.
+    """Evolution operator with its one SVD ``svd = (U, s, V^dag)``, ``sv = s``.
 
-    ``passive`` means the largest singular value does not exceed one
-    (within ``eq_tol``): the operator never amplifies any input state.
+    The passiveness check, :func:`discriminable_states` and :func:`dilate_unitary`
+    read ``svd``.  ``passive`` means ``s[0] <= 1 + eq_tol``: K never amplifies.
     """
 
     k: np.ndarray
-    sv: np.ndarray
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray]
     passive: bool
+
+    @property
+    def sv(self) -> np.ndarray:
+        return self.svd[1]
 
     @property
     def dim(self) -> int:
@@ -75,11 +79,10 @@ def computational_basis(n: int) -> ProjectiveBasis:
 
 
 def make_lossy(k, ctx: ToleranceContext = DEFAULT_TOL) -> LossyEvolution:
-    """Wrap a square operator, caching singular values and passiveness."""
+    """Wrap a square operator with its one SVD and passiveness."""
     km = linalg.require_square(k, "evolution operator")
-    sv = linalg.singular_values(km, ctx)
-    passive = bool(sv[0] <= 1.0 + ctx.eq_tol)
-    return LossyEvolution(k=linalg.frozen(km), sv=linalg.frozen(sv), passive=passive)
+    svd = linalg.thin_svd(km)
+    return LossyEvolution(k=linalg.frozen(km), svd=svd, passive=bool(svd[1][0] <= 1.0 + ctx.eq_tol))
 
 
 def normalize_passive(
@@ -232,14 +235,14 @@ def discriminable_states(
 ) -> StateSet:
     """States that K maps onto distinct measurement-basis directions.
 
-    These are the columns of ``K^{-1} Psi`` normalized to unit length;
-    feeding state i through K leaves no component on any other basis
-    vector, which is what makes error-free discrimination possible.
+    These are the columns of ``K^{-1} Psi = V S^{-1} U^dag Psi`` (``le.svd``)
+    normalized to unit length; feeding state i through K leaves no component
+    on any other basis vector, which is what makes error-free discrimination possible.
     """
-    linalg.check_invertible(le.sv, ctx)
-    raw = np.linalg.inv(le.k) @ np.asarray(basis.psi)
-    norms = np.linalg.norm(raw, axis=0)
-    return state_set(raw / norms, ctx)
+    u, sv, vh = le.svd
+    linalg.check_invertible(sv, ctx)
+    raw = (vh.conj().T / sv) @ (u.conj().T @ basis.psi)
+    return state_set(raw / np.linalg.norm(raw, axis=0), ctx)
 
 
 def dilate_unitary(le: LossyEvolution, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
@@ -247,9 +250,9 @@ def dilate_unitary(le: LossyEvolution, ctx: ToleranceContext = DEFAULT_TOL) -> n
 
     The top-left block is K itself (bit for bit); the defect blocks
     ``(I - K K^dag)^{1/2} = U D U^dag`` and ``(I - K^dag K)^{1/2} = V D V^dag``
-    route the lost amplitude into the ancilla coordinates.  Both come from
-    one SVD ``K = U S V^dag`` with ``D = (I - S^2)^{1/2}``, so they share
-    the singular vectors of K and the off-diagonal blocks of ``U'U`` cancel
+    route the lost amplitude into the ancilla coordinates.  Both read the
+    one SVD ``le.svd = (U, s, V^dag)`` with ``D = (I - S^2)^{1/2}``, so they
+    share K's singular vectors and the off-diagonal blocks of ``U'U`` cancel
     to round-off even when K sits on the passiveness boundary.
     """
     if not le.passive:
@@ -258,15 +261,14 @@ def dilate_unitary(le: LossyEvolution, ctx: ToleranceContext = DEFAULT_TOL) -> n
             "only passive operators embed in a unitary",
             spectral_norm=float(le.sv[0]),
         )
-    k = np.asarray(le.k)
     n = le.dim
-    left, s, right_h = np.linalg.svd(k)
+    left, s, right_h = le.svd
     defect = np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None))
     u = np.empty((2 * n, 2 * n), dtype=complex)
-    u[:n, :n] = k
+    u[:n, :n] = le.k
     u[:n, n:] = (left * defect) @ left.conj().T
     u[n:, :n] = (right_h.conj().T * defect) @ right_h
-    u[n:, n:] = -k.conj().T
+    u[n:, n:] = -le.k.conj().T
     return u
 
 

@@ -110,6 +110,27 @@ def random_state_set(
             return state_set(m)
 
 
+def record_calls(monkeypatch, name):
+    """Replace ``numpy.linalg.<name>`` by a wrapper that records argument shapes."""
+    calls = []
+    routine = getattr(np.linalg, name)
+
+    def recorded(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return routine(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def log_spaced_states(rng: np.random.Generator, n: int, log_cond: float) -> np.ndarray:
+    """Unit-norm columns of ``U diag(s) V`` with ``s`` log-spaced from 1 down to
+    ``10^-log_cond``; normalizing the columns keeps the condition number within
+    a factor of about 1.5 of ``10^log_cond``."""
+    m = (random_unitary(rng, n) * np.logspace(0.0, -log_cond, n)) @ random_unitary(rng, n)
+    return m / np.linalg.norm(m, axis=0)
+
+
 def oracle_report(ops: np.ndarray):
     """Ranks, smallest eigenvalues and verdict from ``eigvalsh`` of the whole
     symmetrized stack, with the Hermiticity and completeness rules restated."""

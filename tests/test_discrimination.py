@@ -23,6 +23,7 @@ from usd_kit.errors import (
     InvalidPovm,
     ZeroProbabilityBranch,
 )
+from usd_kit.linalg import DEFAULT_TOL
 
 from helpers import fig1_states, random_complex, random_density, random_state_set
 
@@ -267,6 +268,18 @@ def test_post_measurement_fig1_inconclusive_branch_drops_rank():
     out = post_measurement_state(rho, np.diag([0.0, 0.75]))
     assert frob(out - np.diag([0.0, 1.0])) < 1e-12
     assert np.count_nonzero(np.linalg.eigvalsh(out) > 1e-9) == 1
+
+
+def test_post_measurement_roots_a_rank_one_detection_operator_exactly():
+    # sqrt(F) = F / sqrt(tr F) for a rank-one F, so the branch is d d^dag / ||d||^2
+    rng = np.random.default_rng(3)
+    p = build_usd_povm(random_state_set(rng, 3))
+    rho = random_density(rng, 3)
+    for f in p.operators[:3]:
+        root = f / np.sqrt(np.trace(f).real)
+        expected = root @ rho @ root.conj().T
+        out = post_measurement_state(rho, f)
+        assert frob(out - expected / np.trace(expected).real) <= DEFAULT_TOL.eq_tol
 
 
 def test_post_measurement_zero_probability_branch():

@@ -28,11 +28,20 @@ from usd_kit.errors import (
     ParamOutOfRange,
     RankDeficient,
     RankMismatch,
+    SingularMatrix,
     SingularStates,
 )
-from usd_kit.linalg import DEFAULT_TOL
+from usd_kit.linalg import DEFAULT_TOL, ToleranceContext, check_invertible, sv_condition
 
-from helpers import fig1_states, oracle_report, random_complex, random_density, random_state_set
+from helpers import (
+    fig1_states,
+    log_spaced_states,
+    oracle_report,
+    random_complex,
+    random_density,
+    random_state_set,
+    record_calls,
+)
 
 
 def frob(a):
@@ -59,6 +68,37 @@ def test_state_set_rejects_dependent_columns():
     with pytest.raises(SingularStates) as err:
         state_set(np.column_stack([column, column]))
     assert err.value.context["condition_number"] > DEFAULT_TOL.cond_max
+
+
+def test_cond_max_above_1e12_is_honoured():
+    m = log_spaced_states(np.random.default_rng(0), 4, 13.4)
+    cond = np.linalg.cond(m)  # numpy's own SVD, not the library's
+    assert 1.5e13 < cond < 3e13
+    loose = ToleranceContext(cond_max=1e14)
+    s = state_set(m, loose)
+    check_invertible(s.sv, loose)
+    dual_set(s, loose)
+    with pytest.raises(SingularStates) as err:
+        state_set(m)
+    assert abs(err.value.context["condition_number"] / cond - 1.0) < 1e-2  # finite, not inf
+
+
+@pytest.mark.parametrize("cond_max", [np.inf, np.nan, 0.0])
+def test_cond_max_must_be_finite_and_positive(cond_max):
+    with pytest.raises(ValueError):
+        ToleranceContext(cond_max=cond_max)
+
+
+def test_check_invertible_and_state_set_agree_at_the_bound():
+    s = state_set(log_spaced_states(np.random.default_rng(1), 8, 6.0))
+    cond = sv_condition(s.sv)
+    at, below = ToleranceContext(cond_max=cond), ToleranceContext(cond_max=np.nextafter(cond, 0.0))
+    state_set(s.states, at)
+    check_invertible(s.sv, at)
+    with pytest.raises(SingularStates):
+        state_set(s.states, below)
+    with pytest.raises(SingularMatrix):
+        check_invertible(s.sv, below)
 
 
 # -- dual_set ---------------------------------------------------------------
@@ -246,19 +286,6 @@ def test_validate_scales_the_hermiticity_bound_with_the_operator(residual, valid
 
 # -- work counts: one SVD per state set, one eigensolve per valid USD POVM ----------
 
-def record_calls(monkeypatch, name):
-    """Replace ``numpy.linalg.<name>`` by a wrapper that records argument shapes."""
-    calls = []
-    routine = getattr(np.linalg, name)
-
-    def recorded(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return routine(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, recorded)
-    return calls
-
-
 def test_validate_eigensolves_only_the_inconclusive_operator(monkeypatch):
     n = 64
     m = random_complex(np.random.default_rng(3), n)
@@ -282,9 +309,10 @@ def test_validated_load_makes_one_pass_and_one_eigensolve(monkeypatch):
 
 def test_state_set_and_build_share_one_svd(monkeypatch):
     m = random_complex(np.random.default_rng(4), 8)
-    calls = record_calls(monkeypatch, "svd")
+    calls, inverses = record_calls(monkeypatch, "svd"), record_calls(monkeypatch, "inv")
     build_usd_povm(state_set(m / np.linalg.norm(m, axis=0)))
-    assert calls == [(8, 8)]
+    assert calls == [(8, 8)]  # the condition check, the duals and the weight read it
+    assert inverses == []
 
 
 # -- the blocked stack pass against a per-operator reference ------------------------

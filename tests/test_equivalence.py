@@ -36,6 +36,7 @@ from helpers import (
     random_density,
     random_passive,
     random_state_set,
+    record_calls,
 )
 
 
@@ -229,6 +230,14 @@ def test_discriminable_states_fig2_map_to_basis_rays():
     assert abs(out[1, 0]) < 1e-12 and abs(out[0, 1]) < 1e-12
 
 
+def test_discriminable_states_take_no_second_factorization(monkeypatch):
+    le = make_lossy(random_passive(np.random.default_rng(5), 8))
+    svds, inverses, solves = (record_calls(monkeypatch, name) for name in ("svd", "inv", "solve"))
+    discriminable_states(le, computational_basis(8))
+    assert inverses == [] and solves == []  # K^-1 Psi is read off the SVD make_lossy took
+    assert svds == [(8, 8)]  # the condition check of the discriminable state set
+
+
 # -- dilate_unitary / reduced_evolution --------------------------------------------------------
 
 def test_dilation_of_zero_operator():
@@ -278,6 +287,14 @@ def test_reduced_evolution_fig2_closed_form():
 def test_reduced_evolution_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         reduced_evolution(np.diag([1.0, 0.5, 1.0]), 2)
+
+
+def test_make_lossy_and_dilate_take_one_svd(monkeypatch):
+    k = random_passive(np.random.default_rng(6), 8)
+    calls, inverses = record_calls(monkeypatch, "svd"), record_calls(monkeypatch, "inv")
+    dilate_unitary(make_lossy(k))
+    assert calls == [(8, 8)]  # passiveness and both defect blocks read it
+    assert inverses == []
 
 
 def test_dilate_then_reduce_roundtrip_exact():

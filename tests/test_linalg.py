@@ -210,6 +210,12 @@ def test_psd_sqrt_rejects_indefinite():
         linalg.psd_sqrt(np.diag([1.0, -0.1]))
 
 
+def test_psd_sqrt_of_an_exactly_singular_matrix_keeps_its_digits():
+    # eigh gives the null eigenvalues as about +-1e-16; rooting them would add 1e-8
+    root = linalg.psd_sqrt(np.ones((3, 3)))
+    assert frob(root - np.ones((3, 3)) / np.sqrt(3.0)) <= linalg.DEFAULT_TOL.eq_tol
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(23)
     g = random_complex(rng, 6)

@@ -45,10 +45,11 @@ from usd_kit.errors import (
     InvalidPovm,
     RankDeficient,
     RankMismatch,
+    UsdKitError,
 )
-from usd_kit.linalg import DEFAULT_TOL, orthonormal_frame
+from usd_kit.linalg import DEFAULT_TOL, orthonormal_frame, sv_condition
 
-from helpers import oracle_report, random_complex, random_unitary
+from helpers import log_spaced_states, oracle_report, random_complex, random_unitary
 
 PROPERTY = settings(max_examples=10, deadline=None)
 DIMS = st.integers(1, 64)
@@ -90,6 +91,25 @@ def test_operator_povm_operator_reproduces_every_detection_operator(dim, seed, r
         reject()  # a basis vector orthogonal to its detection operator: a typed error
     residuals = np.linalg.norm(rebuilt.operators - p.operators, axis=(1, 2))
     assert residuals.max() <= 1e-9
+
+
+@PROPERTY
+@given(dim=st.integers(2, 64), seed=SEEDS, log_cond=st.floats(8.0, math.log10(5e11)))
+@example(dim=64, seed=0, log_cond=11.69)
+@example(dim=2, seed=0, log_cond=10.0)
+def test_near_cond_max_uniform_povm_is_valid_or_a_typed_error(dim, seed, log_cond):
+    # duals and weight from one SVD make I - lambda D D^dag = U (I - s_min^2 S^-2) U^dag,
+    # positive to round-off; factored apart, each carried its own cond * eps error
+    try:
+        s = state_set(log_spaced_states(np.random.default_rng(seed), dim, log_cond))
+        p = build_usd_povm(s)
+    except UsdKitError:
+        return  # a typed error is an allowed outcome
+    assert validate_povm(p).valid
+    # no method pairs better than about cond * eps: 1.45 cond eps N seen at N=2
+    a, duals = np.asarray(s.states), np.asarray(dual_set(s).duals)
+    budget = 4.0 * sv_condition(s.sv) * np.finfo(float).eps * dim
+    assert np.linalg.norm(duals.conj().T @ a - np.eye(dim)) <= budget
 
 
 def conditioned(rng: np.random.Generator, n: int, boundary: bool) -> np.ndarray:
