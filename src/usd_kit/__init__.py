@@ -18,7 +18,6 @@ from .discrimination import (
     usd_report,
 )
 from .duality import (
-    DualSet,
     PovmSet,
     StateSet,
     ValidationReport,
@@ -52,7 +51,6 @@ from .linalg import (
     unitary_exp,
 )
 from .scenarios import (
-    Fig2Params,
     Scenario,
     build_scenario,
     fig1_as_embedding,
@@ -62,8 +60,6 @@ from .scenarios import (
 
 __all__ = [
     "DiscriminationReport",
-    "DualSet",
-    "Fig2Params",
     "LossyEvolution",
     "OutcomeStats",
     "PovmSet",

@@ -115,14 +115,10 @@ def _print_report_human(report) -> None:
 
 
 def _validation_doc(report) -> dict:
+    columns = zip(report.hermiticity_residual.tolist(), report.min_eigenvalue.tolist(), report.rank.tolist())
     return {
         "operators": [
-            {
-                "hermiticity_residual": d.hermiticity_residual,
-                "min_eigenvalue": d.min_eigenvalue,
-                "rank": d.rank,
-            }
-            for d in report.operators
+            {"hermiticity_residual": h, "min_eigenvalue": m, "rank": r} for h, m, r in columns
         ],
         "completeness_residual": report.completeness_residual,
         "valid": report.valid,
@@ -134,17 +130,16 @@ def _validation_doc(report) -> dict:
 def _cmd_dual(args, ctx: ToleranceContext) -> int:
     ensemble = io.ensemble_from_doc(io.read_json(args.states), ctx)
     duals = dual_set(ensemble.states, ctx)
-    pairing = np.asarray(duals.duals).conj().T @ np.asarray(ensemble.states.states)
-    residual = np.abs(pairing - np.eye(ensemble.dim))
+    residual = np.abs(duals.conj().T @ ensemble.states.states - np.eye(ensemble.dim))
     doc = {
-        "duals": io.matrix_doc(duals.duals),
+        "duals": io.matrix_doc(duals),
         "residual_matrix": [[float(x) for x in row] for row in residual],
         "max_residual": float(residual.max()),
     }
     if args.json:
         print(io.render_json(doc))
     else:
-        for line in _matrix_lines(np.asarray(duals.duals), "dual vectors (columns)"):
+        for line in _matrix_lines(duals, "dual vectors (columns)"):
             print(line)
         print(f"max pairing residual: {_fmt(residual.max())}")
     return 0
@@ -154,7 +149,7 @@ def _cmd_povm_from_k(args, ctx: ToleranceContext) -> int:
     k = io.matrix_from_doc(io.read_json(args.k))
     le = make_lossy(k, ctx)
     basis = _load_basis(args.basis, le.dim, ctx)
-    povm = povm_from_lossy(le, basis, ctx)
+    povm = povm_from_lossy(le, basis)
     io.write_json(args.out, io.povm_doc(povm))
     report = validate_povm(povm, ctx)
     doc = {
@@ -217,10 +212,10 @@ def _cmd_validate(args, ctx: ToleranceContext) -> int:
         print(io.render_json(doc))
     else:
         print("op    herm_residual   min_eigenvalue   rank")
-        for i, d in enumerate(report.operators):
+        for i, op in enumerate(doc["operators"]):
             print(
-                f"{i + 1:>3}   {d.hermiticity_residual:<14.6g}  "
-                f"{d.min_eigenvalue:<15.6g}  {d.rank}"
+                f"{i + 1:>3}   {op['hermiticity_residual']:<14.6g}  "
+                f"{op['min_eigenvalue']:<15.6g}  {op['rank']}"
             )
         _print_pairs(
             [
@@ -238,7 +233,7 @@ def _cmd_validate(args, ctx: ToleranceContext) -> int:
 def _cmd_embed(args, ctx: ToleranceContext) -> int:
     k = io.matrix_from_doc(io.read_json(args.k))
     le = make_lossy(k, ctx)
-    u = dilate_unitary(le, ctx)
+    u = dilate_unitary(le)
     residual = linalg.check_unitary(u, ctx, "dilation")
     io.write_json(args.out, io.matrix_doc(u))
     doc = {
@@ -265,8 +260,8 @@ def _cmd_discriminate(args, ctx: ToleranceContext) -> int:
         povm = io.povm_from_doc(io.read_json(args.povm), ctx, validate=True)
     else:
         le = make_lossy(io.matrix_from_doc(io.read_json(args.k)), ctx)
-        povm = povm_from_lossy(le, computational_basis(le.dim), ctx)
-    report = usd_report(ensemble, povm, ctx)
+        povm = povm_from_lossy(le, computational_basis(le.dim))
+    report = usd_report(ensemble, povm)
     doc = {"report": _report_doc(report)}
     if args.trials is not None:
         stats = sample_outcomes(ensemble, povm, args.trials, RandomSource(seed=args.seed), ctx)
@@ -288,10 +283,10 @@ def _cmd_discriminate(args, ctx: ToleranceContext) -> int:
 
 def _cmd_example(args, ctx: ToleranceContext) -> int:
     scenario = build_scenario(args.name, args.param, ctx)
-    povm = povm_from_lossy(scenario.k, scenario.basis, ctx)
+    povm = povm_from_lossy(scenario.k, scenario.basis)
     n = scenario.input_states.count
-    ensemble = state_ensemble(scenario.input_states, np.full(n, 1.0 / n), ctx)
-    report = usd_report(ensemble, povm, ctx)
+    ensemble = state_ensemble(scenario.input_states, np.full(n, 1.0 / n))
+    report = usd_report(ensemble, povm)
     doc = {
         "name": scenario.name,
         "param": float(args.param),

@@ -89,7 +89,7 @@ class OutcomeStats:
     seed: int
 
 
-def state_ensemble(states: StateSet, priors, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble:
+def state_ensemble(states: StateSet, priors) -> StateEnsemble:
     """Validate priors against the state set and freeze the ensemble."""
     p = np.asarray(priors, dtype=float)
     if p.ndim != 1 or p.shape[0] != states.count:
@@ -128,7 +128,7 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> DiscriminationReport:
+def usd_report(e: StateEnsemble, p: PovmSet) -> DiscriminationReport:
     """Analytic discrimination report for an ensemble measured with a POVM."""
     if e.count != p.dim:
         raise DimensionMismatch(

@@ -62,19 +62,6 @@ class StateSet:
 
 
 @dataclass(frozen=True)
-class DualSet:
-    """Dual (transverse) vectors as columns; unnormalized by construction.
-
-    Column ``i`` pairs to one with state ``i`` and to zero with every
-    other state.  The normalization freedom of dual vectors is absorbed
-    into the POVM scaling weights.
-    """
-
-    dim: int
-    duals: np.ndarray
-
-
-@dataclass(frozen=True)
 class PovmSet:
     """Ordered positive operators ``F_1 .. F_{N+1}`` summing to identity.
 
@@ -107,17 +94,15 @@ class PovmSet:
 
 
 @dataclass(frozen=True)
-class OperatorDiagnostics:
-    hermiticity_residual: float
-    min_eigenvalue: float
-    rank: int
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    """Per-operator diagnostics plus the completeness residual and verdict."""
+    """Diagnostics of a POVM: read-only arrays with one entry per operator
+    ``F_1 .. F_{N+1}`` (``hermiticity_residual`` ``||F_k - F_k^dag||_F``,
+    ``min_eigenvalue`` and integer ``rank``, see :func:`validate_povm`), the
+    completeness residual ``||sum_k F_k - I||_F`` and the verdict."""
 
-    operators: tuple[OperatorDiagnostics, ...]
+    hermiticity_residual: np.ndarray
+    min_eigenvalue: np.ndarray
+    rank: np.ndarray
     completeness_residual: float
     valid: bool
 
@@ -155,11 +140,14 @@ def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
     return s
 
 
-def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> DualSet:
-    """Dual vectors of a complete state set: ``D = A^{-dag} = U S^{-1} V^dag``.
+def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+    """Dual vectors of a complete state set as the columns of the read-only
+    ``(N, N)`` matrix ``D = A^{-dag} = U S^{-1} V^dag``.
 
-    Requires as many states as dimensions; with fewer states the duals
-    are not uniquely defined, so rotate into a subspace first with
+    Column ``i`` pairs to one with state ``i`` and to zero with every other
+    state; the duals are unnormalized, and the POVM scaling weights absorb
+    that freedom.  Requires as many states as dimensions; with fewer states
+    the duals are not uniquely defined, so rotate into a subspace first with
     :func:`subspace_reduce`.
     """
     if s.count != s.dim:
@@ -169,7 +157,7 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> DualSet:
         )
     u, sv, vh = s.svd
     linalg.check_invertible(sv, ctx)
-    return DualSet(dim=s.dim, duals=linalg.frozen((u / sv) @ vh))
+    return linalg.frozen((u / sv) @ vh)
 
 
 def rank_one_povm(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSet:
@@ -215,7 +203,7 @@ def build_usd_povm(
     """
     n = s.dim
     ops = np.empty((n + 1, n, n), dtype=complex)
-    duals = dual_set(s, ctx).duals
+    duals = dual_set(s, ctx)
     if isinstance(strategy, str):
         if strategy != "uniform-max":
             raise ParamOutOfRange(f"unknown scaling strategy {strategy!r}")
@@ -371,8 +359,12 @@ def _validated(p: PovmSet, ctx: ToleranceContext) -> tuple[ValidationReport, np.
     ranks = np.ones(n + 1, dtype=int)
     ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
     completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
+    for a in (herm, min_eig, ranks):  # fresh arrays, frozen in place
+        a.setflags(write=False)
     return ValidationReport(
-        operators=tuple(map(OperatorDiagnostics, herm.tolist(), min_eig.tolist(), ranks.tolist())),
+        hermiticity_residual=herm,
+        min_eigenvalue=min_eig,
+        rank=ranks,
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
     ), rank_one

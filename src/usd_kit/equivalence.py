@@ -78,11 +78,15 @@ def computational_basis(n: int) -> ProjectiveBasis:
     return ProjectiveBasis(psi=linalg.frozen(np.eye(n, dtype=complex)))
 
 
+def _lossy(k: np.ndarray, svd, ctx: ToleranceContext) -> LossyEvolution:
+    """Freeze ``k`` with its SVD; the one place the passiveness rule is written."""
+    return LossyEvolution(k=linalg.frozen(k), svd=svd, passive=bool(svd[1][0] <= 1.0 + ctx.eq_tol))
+
+
 def make_lossy(k, ctx: ToleranceContext = DEFAULT_TOL) -> LossyEvolution:
     """Wrap a square operator with its one SVD and passiveness."""
     km = linalg.require_square(k, "evolution operator")
-    svd = linalg.thin_svd(km)
-    return LossyEvolution(k=linalg.frozen(km), svd=svd, passive=bool(svd[1][0] <= 1.0 + ctx.eq_tol))
+    return _lossy(km, linalg.thin_svd(km), ctx)
 
 
 def normalize_passive(
@@ -93,7 +97,8 @@ def normalize_passive(
     """Rescale ``k`` by ``1/gamma`` so the result is passive.
 
     With ``gamma`` omitted the largest singular value is used, which puts
-    the rescaled operator exactly on the passiveness boundary.
+    the rescaled operator exactly on the passiveness boundary.  The result
+    reuses ``le.svd`` as ``(U, s / gamma, V^dag)``; no second SVD is taken.
 
     Raises
     ------
@@ -114,14 +119,12 @@ def normalize_passive(
             f"rescaling factor {scale!r} is below the spectral norm {top!r}",
             spectral_norm=top,
         )
-    return make_lossy(np.asarray(le.k) / scale, ctx)
+    u, s, vh = le.svd
+    k = linalg.as_matrix(le.k / scale, "evolution operator")
+    return _lossy(k, (u, linalg.frozen(s / scale), vh), ctx)
 
 
-def povm_from_lossy(
-    le: LossyEvolution,
-    basis: ProjectiveBasis,
-    ctx: ToleranceContext = DEFAULT_TOL,
-) -> PovmSet:
+def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
     """POVM induced by measuring projectively after the lossy evolution.
 
     ``F_i`` is the dyad of ``K^dag psi_i`` (exactly Hermitian and rank at
@@ -245,7 +248,7 @@ def discriminable_states(
     return state_set(raw / np.linalg.norm(raw, axis=0), ctx)
 
 
-def dilate_unitary(le: LossyEvolution, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+def dilate_unitary(le: LossyEvolution) -> np.ndarray:
     """Embed a passive K in the 2N x 2N unitary built from its defect operators.
 
     The top-left block is K itself (bit for bit); the defect blocks
@@ -277,8 +280,9 @@ def reduced_evolution(
 ) -> LossyEvolution:
     """Restrict a unitary to its leading coordinates.
 
-    The top-left block of a unitary always has spectral norm at most one,
-    so the result is passive by construction.
+    Raises ``NotPassive`` when the block stretches a direction past
+    ``1 + eq_tol``: an exact unitary's block never does, but a matrix within
+    the unitarity rule can, as ``diag(1 + 1.4e-10, 1, 1)`` does.
     """
     um = linalg.require_square(u, "unitary")
     n = um.shape[0]
@@ -288,8 +292,9 @@ def reduced_evolution(
             f"subspace dimension {subspace_dim} out of range for size {n}"
         )
     le = make_lossy(um[:subspace_dim, :subspace_dim], ctx)
-    if not le.passive:  # cannot happen for a genuine unitary
-        raise NotPassive("submatrix of a unitary failed the passiveness check")
+    if not le.passive:
+        top = float(le.sv[0])
+        raise NotPassive(f"submatrix has spectral norm {top!r} > 1", spectral_norm=top)
     return le
 
 

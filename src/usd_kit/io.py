@@ -166,7 +166,7 @@ def ensemble_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble
     priors = _floats(priors, (len(priors),)) if isinstance(priors, list) else None
     if priors is None:
         raise ParseError("ensemble: priors must be a list of finite numbers")
-    return state_ensemble(state_set(states.T, ctx), priors, ctx)
+    return state_ensemble(state_set(states.T, ctx), priors)
 
 
 # -- POVM documents ------------------------------------------------------------
@@ -203,7 +203,7 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
             raise InvalidPovm(
                 "POVM failed validation on load",
                 completeness_residual=report.completeness_residual,
-                min_eigenvalues=[d.min_eigenvalue for d in report.operators],
+                min_eigenvalues=report.min_eigenvalue.tolist(),
             )
         bad = np.flatnonzero(~rank_one)
         if bad.size:

@@ -140,7 +140,7 @@ def _hermitian_eigen(h, ctx: ToleranceContext) -> tuple[np.ndarray, np.ndarray]:
     return w[order].copy(), v[:, order].copy()
 
 
-def singular_values(k, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+def singular_values(k) -> np.ndarray:
     """Singular values of ``k``, nonnegative and descending, from a values-only SVD."""
     return np.linalg.svd(as_matrix(k, "operator"), compute_uv=False)
 
@@ -154,9 +154,9 @@ def thin_svd(k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-def spectral_norm(k, ctx: ToleranceContext = DEFAULT_TOL) -> float:
+def spectral_norm(k) -> float:
     """Largest singular value: the maximal amplitude amplification of ``k``."""
-    return float(singular_values(k, ctx)[0])
+    return float(singular_values(k)[0])
 
 
 def sv_condition(sv: np.ndarray) -> float:

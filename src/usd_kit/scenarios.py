@@ -38,34 +38,14 @@ class Scenario:
     full_unitary: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class Fig2Params:
-    """Propagation length ``z`` and waveguide coupling (default 1).
-
-    The coupling only rescales the propagation coordinate, so it is fixed
-    to one unless stated otherwise.
-    """
-
-    z: float
-    coupling: float = 1.0
-
-    def __post_init__(self):
-        if not (self.coupling > 0.0 and math.isfinite(self.coupling)):
-            raise ParamOutOfRange(f"coupling must be positive and finite, got {self.coupling!r}")
-        if not math.isfinite(self.z * self.coupling):
-            raise ParamOutOfRange(
-                f"z and coupling * z must be finite, got z={self.z!r}, coupling={self.coupling!r}"
-            )
-
-
 def beam_splitter_attenuator(gamma: float) -> np.ndarray:
     """Two-port evolution of a 50-50 splitter with attenuation ``gamma`` on arm 2."""
     return np.array([[1.0, gamma], [-1.0, gamma]], dtype=complex) / np.sqrt(2.0)
 
 
 def tight_binding_hamiltonian() -> np.ndarray:
-    """Unit nearest-coupling Hamiltonian of three symmetric waveguides; the
-    coupling of :class:`Fig2Params` rescales the propagation length instead."""
+    """Unit nearest-coupling Hamiltonian of three symmetric waveguides; another
+    coupling ``a`` would only rescale the propagation length ``z`` to ``a z``."""
     return np.ones((3, 3), dtype=complex) - np.eye(3, dtype=complex)
 
 
@@ -92,35 +72,43 @@ def fig1_scenario(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario
     return Scenario(name="fig1", k=k, basis=basis, input_states=states, expected=expected)
 
 
-def _fig2_closed_form(az: float) -> tuple[complex, complex]:
+def _fig2_closed_form(z: float) -> tuple[complex, complex]:
     """Diagonal and off-diagonal entries of the reduced two-port operator."""
-    off = (np.exp(-2j * az) - np.exp(1j * az)) / 3.0
-    return np.exp(1j * az) + off, off
+    off = (np.exp(-2j * z) - np.exp(1j * z)) / 3.0
+    return np.exp(1j * z) + off, off
 
 
-def fig2_scenario(params: Fig2Params, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
-    """Three coupled waveguides; ports 1 and 2 form the lossy subsystem.
+def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
+    """Three unit-coupled waveguides propagated over length ``z``; ports 1
+    and 2 form the lossy subsystem.
 
     Expected values come from the closed form of the propagator: the
-    reduced operator is ``e^{iaz} I + c J`` with
-    ``c = (e^{-2iaz} - e^{iaz})/3`` and J the all-ones matrix.
+    reduced operator is ``e^{iz} I + c J`` with
+    ``c = (e^{-2iz} - e^{iz})/3`` and J the all-ones matrix.
 
-    The Hamiltonian's eigenvalues are ``a * {2, -1, -1}``, so the
-    propagator has period ``2 pi`` in ``az``.  Both the closed form and
-    the propagator take ``az`` reduced modulo ``2 pi``: at large z the
-    eigenvalue round-off times z would otherwise part them silently.
+    The Hamiltonian's eigenvalues are ``{2, -1, -1}``, so the propagator
+    has period ``2 pi`` in ``z``.  Both the closed form and the propagator
+    take ``z`` reduced modulo ``2 pi``: at large z the eigenvalue round-off
+    times z would otherwise part them silently.
 
     The reduced operator is normal, with singular values 1 and
-    ``|e^{iaz} + 2 e^{-2iaz}| / 3`` in ``[1/3, 1]``: its condition number is
+    ``|e^{iz} + 2 e^{-2iz}| / 3`` in ``[1/3, 1]``: its condition number is
     at most 3 for every z, so it is always invertible.
+
+    Raises
+    ------
+    ParamOutOfRange
+        If ``z`` is not finite.
     """
-    az = math.fmod(params.coupling * params.z, 2.0 * math.pi)
-    full_u = linalg.unitary_exp(tight_binding_hamiltonian(), az, ctx)
+    if not math.isfinite(z):
+        raise ParamOutOfRange(f"z must be finite, got {z!r}")
+    z = math.fmod(z, 2.0 * math.pi)
+    full_u = linalg.unitary_exp(tight_binding_hamiltonian(), z, ctx)
     k = reduced_evolution(full_u, 2, ctx)
     states = discriminable_states(k, computational_basis(2), ctx)
 
-    diag, off = _fig2_closed_form(az)
-    alpha = diag - off  # bare propagation phase e^{iaz}
+    diag, off = _fig2_closed_form(z)
+    alpha = diag - off  # bare propagation phase e^{iz}
     det = alpha * (alpha + 2.0 * off)
     col_norm_sq = (abs(diag) ** 2 + abs(off) ** 2) / abs(det) ** 2
     beta = 1.0 / math.sqrt(col_norm_sq)
@@ -151,7 +139,7 @@ def fig1_as_embedding(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scen
     """
     g = _check_gamma(gamma)
     base = fig1_scenario(g, ctx)
-    full_u = dilate_unitary(base.k, ctx)
+    full_u = dilate_unitary(base.k)
     expected = dict(base.expected)
     expected["ancilla_mass"] = expected["inconclusive"]
     return Scenario(
@@ -169,7 +157,7 @@ def build_scenario(name: str, param: float, ctx: ToleranceContext = DEFAULT_TOL)
     if name == "fig1":
         return fig1_scenario(param, ctx)
     if name == "fig2":
-        return fig2_scenario(Fig2Params(z=float(param)), ctx)
+        return fig2_scenario(float(param), ctx)
     if name == "fig1-embed":
         return fig1_as_embedding(param, ctx)
     raise ParamOutOfRange(f"unknown scenario {name!r}; expected fig1, fig2 or fig1-embed")

@@ -33,14 +33,13 @@ def jordan_k(a: float) -> np.ndarray:
     return np.array([[a, 0.5], [0.0, a]], dtype=complex)
 
 
-def fig2_hamiltonian(coupling: float = 1.0) -> np.ndarray:
-    return coupling * (np.ones((3, 3), dtype=complex) - np.eye(3))
+def fig2_hamiltonian() -> np.ndarray:
+    return np.ones((3, 3), dtype=complex) - np.eye(3)
 
 
-def fig2_propagator_closed_form(z: float, coupling: float = 1.0) -> np.ndarray:
-    """Independent closed form: e^{iaz} I + (e^{-2iaz} - e^{iaz}) J / 3."""
-    az = coupling * z
-    return np.exp(1j * az) * np.eye(3) + (np.exp(-2j * az) - np.exp(1j * az)) / 3.0 * np.ones((3, 3))
+def fig2_propagator_closed_form(z: float) -> np.ndarray:
+    """Independent closed form: e^{iz} I + (e^{-2iz} - e^{iz}) J / 3."""
+    return np.exp(1j * z) * np.eye(3) + (np.exp(-2j * z) - np.exp(1j * z)) / 3.0 * np.ones((3, 3))
 
 
 def power_iteration_spectral_norm(k: np.ndarray, iters: int = 50000) -> float:

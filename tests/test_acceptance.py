@@ -28,7 +28,7 @@ from usd_kit.equivalence import (
     povm_from_lossy,
 )
 from usd_kit.linalg import DEFAULT_TOL, spectral_norm
-from usd_kit.scenarios import Fig2Params, fig1_scenario, fig2_scenario
+from usd_kit.scenarios import fig1_scenario, fig2_scenario
 
 from helpers import (
     FIG1_AMPLITUDE,
@@ -143,7 +143,7 @@ def test_criterion_7_fig2_output_structure():
     with criterion(7, "waveguide sweep: exclusive ports, marginal norm, rank one"):
         for step in range(1, 16):
             z = 0.2 * step
-            scenario = fig2_scenario(Fig2Params(z=z))
+            scenario = fig2_scenario(z)
             u = np.asarray(scenario.full_unitary)
             ins = [np.append(scenario.input_states.column(i), 0.0) for i in range(2)]
             outs = [u @ vec for vec in ins]

@@ -105,20 +105,19 @@ def test_check_invertible_and_state_set_agree_at_the_bound():
 
 def test_dual_of_orthonormal_basis_is_itself():
     s = state_set(np.eye(2))
-    d = dual_set(s)
-    assert frob(np.asarray(d.duals) - np.eye(2)) < 1e-14
+    assert frob(dual_set(s) - np.eye(2)) < 1e-14
 
 
 def test_dual_two_vectors_matches_inverse_rows():
     s = state_set(np.column_stack([[1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2.0)]))
-    d = np.asarray(dual_set(s).duals)
+    d = dual_set(s)
     expected = np.column_stack([[1.0, -1.0], [0.0, np.sqrt(2.0)]]).conj()
     assert frob(d - expected) < 1e-12
 
 
 def test_dual_fig1_pairing():
     s = state_set(fig1_states())
-    d = np.asarray(dual_set(s).duals)
+    d = dual_set(s)
     pairing = d.conj().T @ np.asarray(s.states)
     assert frob(pairing - np.eye(2)) < 1e-12
 
@@ -129,7 +128,7 @@ def test_dual_pairing_within_conditioned_budget(n):
     for _ in range(20):
         m = random_complex(rng, n) + 2.0 * np.eye(n)
         s = state_set(m / np.linalg.norm(m, axis=0))
-        d = np.asarray(dual_set(s).duals)
+        d = dual_set(s)
         cond = np.linalg.cond(s.states)
         assert frob(d.conj().T @ np.asarray(s.states) - np.eye(n)) <= 1e-10 * cond
 
@@ -144,9 +143,9 @@ def test_dual_round_trip_recovers_rays():
     rng = np.random.default_rng(53)
     for dim in (2, 3, 5):
         s = random_state_set(rng, dim)
-        d = np.asarray(dual_set(s).duals)
+        d = dual_set(s)
         renormalized = state_set(d / np.linalg.norm(d, axis=0))
-        back = np.asarray(dual_set(renormalized).duals)
+        back = dual_set(renormalized)
         for i in range(dim):
             inner = abs(back[:, i].conj() @ s.states[:, i])
             assert abs(inner - np.linalg.norm(back[:, i])) < 1e-10
@@ -249,7 +248,16 @@ def test_validate_fig1_povm_rank_structure():
     p = build_usd_povm(state_set(fig1_states()))
     report = validate_povm(p)
     assert report.valid
-    assert [d.rank for d in report.operators] == [1, 1, 1]
+    assert report.rank.tolist() == [1, 1, 1]
+
+
+def test_report_and_duals_are_read_only_arrays():
+    s = state_set(fig1_states())
+    report = validate_povm(build_usd_povm(s))
+    columns = (report.hermiticity_residual, report.min_eigenvalue, report.rank, dual_set(s))
+    assert [a.shape for a in columns] == [(3,), (3,), (3,), (2, 2)]
+    assert report.rank.dtype.kind == "i"
+    assert not any(a.flags.writeable for a in columns)
 
 
 def test_validate_detects_broken_completeness():
@@ -278,9 +286,9 @@ def test_validate_scales_the_hermiticity_bound_with_the_operator(residual, valid
     ops[-1] += e
     ops[:n] -= e / n  # completeness holds; each detection operator's residual is residual / 64
     report = validate_povm(PovmSet(dim=n, operators=ops))
-    assert abs(report.operators[-1].hermiticity_residual - residual) <= 1e-3 * residual
+    assert abs(report.hermiticity_residual[-1] - residual) <= 1e-3 * residual
     assert report.completeness_residual <= DEFAULT_TOL.eq_tol
-    assert min(d.min_eigenvalue for d in report.operators) >= -DEFAULT_TOL.psd_tol
+    assert report.min_eigenvalue.min() >= -DEFAULT_TOL.psd_tol
     assert report.valid is valid
 
 
@@ -294,7 +302,7 @@ def test_validate_eigensolves_only_the_inconclusive_operator(monkeypatch):
     report = validate_povm(p)
     assert calls == [(1, n, n)]
     assert report.valid
-    assert [d.rank for d in report.operators] == [1] * n + [n - 1]
+    assert report.rank.tolist() == [1] * n + [n - 1]
 
 
 def test_validated_load_makes_one_pass_and_one_eigensolve(monkeypatch):
@@ -394,11 +402,11 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     # validate_povm: residuals, certified bounds, ranks and verdict
     ranks, _, valid = oracle_report(np.asarray(ops))
     report = validate_povm(p)
-    assert [d.hermiticity_residual for d in report.operators] == herm.tolist()
-    assert [d.rank for d in report.operators] == ranks
+    assert report.hermiticity_residual.tolist() == herm.tolist()
+    assert report.rank.tolist() == ranks
     assert report.valid is valid is (variant != "non_hermitian")
     certified = np.flatnonzero((weights > tol.psd_tol) & (defects <= tol.psd_tol))
-    assert [report.operators[k].min_eigenvalue for k in certified] == (0.0 - defects[certified]).tolist()
+    assert report.min_eigenvalue[certified].tolist() == (0.0 - defects[certified]).tolist()
 
     # outcome probabilities of the states behind the POVM
     s = block_test_states(n)

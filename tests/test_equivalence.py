@@ -91,6 +91,19 @@ def test_normalize_passive_rejects_non_finite_gamma(gamma):
         normalize_passive(make_lossy(0.5 * np.eye(2)), gamma=gamma)
 
 
+@pytest.mark.parametrize("factor", [None, 2.0])
+def test_normalize_passive_takes_no_svd(monkeypatch, factor):
+    le = make_lossy(random_complex(np.random.default_rng(7), 8))
+    gamma = le.sv[0] if factor is None else factor * le.sv[0]
+    calls = record_calls(monkeypatch, "svd")
+    out = normalize_passive(le, None if factor is None else gamma)
+    assert calls == []  # the SVD of K / gamma is (U, s / gamma, V^dag) of le.svd
+    u, s, vh = out.svd
+    assert u is le.svd[0] and vh is le.svd[2]
+    assert np.array_equal(s, le.sv / gamma) and out.passive
+    assert frob((u * s) @ vh - out.k) <= 1e-14 * frob(out.k)
+
+
 # -- povm_from_lossy ------------------------------------------------------------
 
 def test_povm_from_identity_is_projective():
@@ -287,6 +300,15 @@ def test_reduced_evolution_fig2_closed_form():
 def test_reduced_evolution_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         reduced_evolution(np.diag([1.0, 0.5, 1.0]), 2)
+
+
+def test_reduced_evolution_names_the_norm_of_a_stretching_block():
+    # residual 2.8e-10 is within the unitarity bound 3 * eq_tol, but the block
+    # stretches e_1 by 1 + 1.4e-10, past the passiveness bound 1 + eq_tol
+    u = np.diag([1.0 + 1.4e-10, 1.0, 1.0])
+    with pytest.raises(NotPassive) as info:
+        reduced_evolution(u, 2)
+    assert info.value.context == {"spectral_norm": 1.0 + 1.4e-10}
 
 
 def test_make_lossy_and_dilate_take_one_svd(monkeypatch):

@@ -192,6 +192,48 @@ def test_cli_dual_dependent_states_exit_2(tmp_path, capsys):
     assert err["code"] == "singular_states"
 
 
+# Exact stdout of validate and dual on N = 2 inputs whose numbers are exact in
+# binary: the projective POVM of the computational basis and its orthonormal states.
+GOLDEN_STDOUT = {
+    ("validate", False): (
+        "op    herm_residual   min_eigenvalue   rank\n"
+        "  1   0               0                1\n"
+        "  2   0               0                1\n"
+        "  3   0               0                0\n"
+        "completeness_residual  0\n"
+        "valid                  true\n"
+    ),
+    ("validate", True): (
+        '{"operators": [{"hermiticity_residual": 0, "min_eigenvalue": 0, "rank": 1}, '
+        '{"hermiticity_residual": 0, "min_eigenvalue": 0, "rank": 1}, '
+        '{"hermiticity_residual": 0, "min_eigenvalue": 0, "rank": 0}], '
+        '"completeness_residual": 0, "valid": true}\n'
+    ),
+    ("dual", False): (
+        "dual vectors (columns) (2x2):\n"
+        "  [+1+0j  +0+0j]\n"
+        "  [+0+0j  +1+0j]\n"
+        "max pairing residual: 0\n"
+    ),
+    ("dual", True): (
+        '{"duals": {"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
+        '"residual_matrix": [[0, 0], [0, 0]], "max_residual": 0}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command, as_json", sorted(GOLDEN_STDOUT))
+def test_cli_validate_and_dual_stdout_is_pinned(tmp_path, capsys, command, as_json):
+    povm_path, states_path = tmp_path / "povm.json", tmp_path / "states.json"
+    ops = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))], dtype=complex)
+    io.write_json(povm_path, io.povm_doc(PovmSet(dim=2, operators=ops)))
+    io.write_json(states_path, io.ensemble_doc(state_ensemble(state_set(np.eye(2)), [0.5, 0.5])))
+    argv = ["validate", "--povm", str(povm_path)] if command == "validate" else ["dual", "--states", str(states_path)]
+    assert main(argv + ["--json"] * as_json) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (GOLDEN_STDOUT[command, as_json], "")
+
+
 def test_cli_povm_from_k_and_validate(tmp_path, capsys):
     k_path, _ = write_fig1_files(tmp_path)
     povm_path = tmp_path / "povm.json"

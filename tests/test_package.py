@@ -1,11 +1,12 @@
+import ast
+from pathlib import Path
+
 import usd_kit
 
 # The public surface, one name per identity.  A change to it is deliberate:
 # edit this list and record the change in CHANGES.md.
 PUBLIC_NAMES = [
     "DiscriminationReport",
-    "DualSet",
-    "Fig2Params",
     "LossyEvolution",
     "OutcomeStats",
     "PovmSet",
@@ -50,7 +51,25 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(usd_kit.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(usd_kit, name) is not None
+
+
+def test_every_parameter_is_read():
+    # A parameter that the body never reads (``self`` aside) is dead surface:
+    # callers pass it and nothing happens.  Parameter defaults are not the body.
+    dead = []
+    for path in sorted(Path(usd_kit.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            dead += [f"{path.name}:{fn.lineno} {name}({p})" for p in params if p != "self" and p not in read]
+    assert dead == []

@@ -72,7 +72,7 @@ def test_uniform_weight_is_the_largest_feasible(dim, seed):
     with pytest.raises(InfeasibleScaling):
         build_usd_povm(s, np.full(dim, weight * (1.0 + 1e-6)))
     # independent route: 1 / lambda_max of the dual Gram matrix D D^dag
-    duals = np.asarray(dual_set(s).duals)
+    duals = dual_set(s)
     oracle = 1.0 / np.linalg.eigvalsh(duals @ duals.conj().T)[-1]
     assert abs(weight - oracle) <= 1e-9 * oracle
 
@@ -107,7 +107,7 @@ def test_near_cond_max_uniform_povm_is_valid_or_a_typed_error(dim, seed, log_con
         return  # a typed error is an allowed outcome
     assert validate_povm(p).valid
     # no method pairs better than about cond * eps: 1.45 cond eps N seen at N=2
-    a, duals = np.asarray(s.states), np.asarray(dual_set(s).duals)
+    a, duals = np.asarray(s.states), dual_set(s)
     budget = 4.0 * sv_condition(s.sv) * np.finfo(float).eps * dim
     assert np.linalg.norm(duals.conj().T @ a - np.eye(dim)) <= budget
 
@@ -224,9 +224,8 @@ def assert_certificate_agrees(p: PovmSet) -> None:
     ranks, min_eig, valid = oracle_report(ops)
     report = validate_povm(p)
     assert report.valid is valid
-    assert [d.rank for d in report.operators] == ranks
-    reported = np.array([d.min_eigenvalue for d in report.operators])
-    assert np.all(reported <= min_eig + 1e-15 * np.linalg.norm(ops, axis=(1, 2)))
+    assert report.rank.tolist() == ranks
+    assert np.all(report.min_eigenvalue <= min_eig + 1e-15 * np.linalg.norm(ops, axis=(1, 2)))
 
 
 @PROPERTY
@@ -241,10 +240,10 @@ def test_rank_one_certificate_agrees_with_the_eigensolve(dim, seed):
         q = random_unitary(rng, dim)
         above = povm_with_second_eigenvalue(q, 2.02 * DEFAULT_TOL.psd_tol)
         assert_certificate_agrees(above)
-        assert validate_povm(above).operators[0].rank == 2
+        assert validate_povm(above).rank[0] == 2
         below = povm_with_second_eigenvalue(q, 2.0 * DEFAULT_TOL.psd_tol / 1.01)
         assert_certificate_agrees(below)
-        assert validate_povm(below).operators[0].rank == 1
+        assert validate_povm(below).rank[0] == 1
 
 
 @PROPERTY
@@ -264,7 +263,7 @@ def test_rank_one_certificate_keeps_verdicts_on_non_hermitian_stacks(dim, seed, 
     report = validate_povm(p)
     assert valid is (scale < 1.0)
     assert report.valid is valid
-    assert [d.rank for d in report.operators] == ranks
+    assert report.rank.tolist() == ranks
 
 
 @PROPERTY

@@ -6,7 +6,6 @@ from usd_kit.discrimination import state_ensemble, usd_report
 from usd_kit.equivalence import inconclusive_rank, povm_from_lossy, reduced_evolution
 from usd_kit.errors import ParamOutOfRange
 from usd_kit.scenarios import (
-    Fig2Params,
     build_scenario,
     fig1_as_embedding,
     fig1_scenario,
@@ -97,7 +96,7 @@ def test_fig1_rejects_out_of_range_gamma(gamma):
 # -- fig2 ------------------------------------------------------------------------
 
 def test_fig2_zero_length_is_lossless():
-    sc = fig2_scenario(Fig2Params(z=0.0))
+    sc = fig2_scenario(0.0)
     assert frob(np.asarray(sc.k.k) - np.eye(2)) < 1e-12
     assert abs(sc.expected["beta_magnitude"] - 1.0) < 1e-12
     assert abs(sc.expected["inconclusive"]) < 1e-12
@@ -106,7 +105,7 @@ def test_fig2_zero_length_is_lossless():
 
 
 def test_fig2_unit_length_closed_form():
-    sc = fig2_scenario(Fig2Params(z=1.0))
+    sc = fig2_scenario(1.0)
     off = (np.exp(-2j) - np.exp(1j)) / 3.0
     expected_k = np.exp(1j) * np.eye(2) + off * np.ones((2, 2))
     assert frob(np.asarray(sc.k.k) - expected_k) < 1e-12
@@ -118,7 +117,7 @@ def test_fig2_unit_length_closed_form():
 
 @pytest.mark.parametrize("z", Z_SWEEP)
 def test_fig2_output_structure_over_sweep(z):
-    sc = fig2_scenario(Fig2Params(z=z))
+    sc = fig2_scenario(z)
     u = np.asarray(sc.full_unitary)
     ins = [np.append(sc.input_states.column(i), 0.0) for i in range(2)]
     outs = [u @ v for v in ins]
@@ -142,7 +141,7 @@ def test_fig2_output_structure_over_sweep(z):
 def test_fig2_beta_shrinks_as_overlap_grows():
     pairs = []
     for z in Z_SWEEP:
-        sc = fig2_scenario(Fig2Params(z=z))
+        sc = fig2_scenario(z)
         overlap = abs(sc.input_states.column(0).conj() @ sc.input_states.column(1))
         pairs.append((overlap, sc.expected["beta_magnitude"]))
     pairs.sort()
@@ -150,22 +149,16 @@ def test_fig2_beta_shrinks_as_overlap_grows():
     assert all(betas[i] + 1e-9 >= betas[i + 1] for i in range(len(betas) - 1))
 
 
-def test_fig2_coupling_only_rescales_z():
-    a = fig2_scenario(Fig2Params(z=1.5, coupling=1.0))
-    b = fig2_scenario(Fig2Params(z=0.75, coupling=2.0))
-    assert frob(np.asarray(a.k.k) - np.asarray(b.k.k)) < 1e-12
-
-
 def test_fig2_reduced_operator_condition_is_at_most_three():
-    # singular values 1 and |e^{iaz} + 2 e^{-2iaz}| / 3, which lies in [1/3, 1]
+    # singular values 1 and |e^{iz} + 2 e^{-2iz}| / 3, which lies in [1/3, 1]
     special = [0.0, 1e-300, np.pi / 3, 2 * np.pi / 3, np.pi, 2 * np.pi, 1e300, -1e300]
     grid = np.concatenate([np.linspace(-50.0, 50.0, 4001), special])
     for z in grid:
-        assert linalg.sv_condition(fig2_scenario(Fig2Params(z=float(z))).k.sv) <= 3.0 + 1e-12
+        assert linalg.sv_condition(fig2_scenario(float(z)).k.sv) <= 3.0 + 1e-12
 
 
 def test_fig2_report_matches_expected():
-    sc = fig2_scenario(Fig2Params(z=1.0))
+    sc = fig2_scenario(1.0)
     report = equal_prior_report(sc)
     assert abs(report.total_success - sc.expected["success_per_state"]) < 1e-10
     assert abs(report.total_inconclusive - sc.expected["inconclusive"]) < 1e-10
@@ -174,7 +167,7 @@ def test_fig2_report_matches_expected():
 
 @pytest.mark.parametrize("z", [1e6, 1e9, 1e15])
 def test_fig2_report_matches_expected_at_large_z(z):
-    sc = fig2_scenario(Fig2Params(z=z))
+    sc = fig2_scenario(z)
     report = equal_prior_report(sc)
     amplitude = abs(np.asarray(sc.full_unitary)[0, :2] @ sc.input_states.column(0))
     assert abs(report.total_success - sc.expected["success_per_state"]) <= 1e-10
@@ -182,10 +175,10 @@ def test_fig2_report_matches_expected_at_large_z(z):
     assert abs(amplitude - sc.expected["beta_magnitude"]) <= 1e-10
 
 
-@pytest.mark.parametrize("z, coupling", [(float("inf"), 1.0), (float("nan"), 1.0), (1e308, 10.0)])
-def test_fig2_params_reject_non_finite_phase(z, coupling):
+@pytest.mark.parametrize("z", [float("inf"), float("nan")])
+def test_fig2_rejects_non_finite_z(z):
     with pytest.raises(ParamOutOfRange):
-        Fig2Params(z=z, coupling=coupling)
+        fig2_scenario(z)
 
 
 # -- fig1 as an embedding -----------------------------------------------------------
