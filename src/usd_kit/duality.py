@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleScaling,
     InvalidDensityMatrix,
+    InvalidMatrix,
     InvalidStateSet,
     ParamOutOfRange,
     RankDeficient,
@@ -66,26 +67,27 @@ class PovmSet:
     """Ordered positive operators ``F_1 .. F_{N+1}`` summing to identity.
 
     ``operators`` is one read-only complex ``(N+1, N, N)`` array, stacked
-    from any sequence of N+1 ``N x N`` matrices (``DimensionMismatch``
-    otherwise; a read-only complex array is kept, not copied).  The first
+    from any sequence of N+1 ``N x N`` matrices with ``N >= 1``
+    (``DimensionMismatch`` otherwise) and finite entries (``InvalidMatrix``
+    otherwise); a read-only complex array is kept, not copied.  The first
     N operators are the rank-one detection operators; the last one
-    collects the inconclusive outcome.  ``scaling`` holds the weights
-    applied to the dual dyads when they are known (construction from an
-    explicit state set); it is ``None`` for POVMs obtained from a lossy
-    evolution operator.
+    collects the inconclusive outcome.
     """
 
     dim: int
     operators: np.ndarray
-    scaling: np.ndarray | None = None
 
     def __post_init__(self):
         try:
             ops = np.asarray(self.operators, dtype=complex)
         except ValueError:  # a ragged sequence of matrices
             ops = None
+        if self.dim < 1:
+            raise DimensionMismatch(f"POVM dimension must be at least 1, got {self.dim}")
         if ops is None or ops.shape != (self.dim + 1, self.dim, self.dim):
             raise DimensionMismatch(f"expected {self.dim + 1} operators of size {self.dim}x{self.dim}")
+        if not np.isfinite(ops).all():
+            raise InvalidMatrix("POVM operators contain NaN or Inf entries")
         object.__setattr__(self, "operators", linalg.frozen(ops) if ops.flags.writeable else ops)
 
     @property
@@ -98,11 +100,13 @@ class ValidationReport:
     """Diagnostics of a POVM: read-only arrays with one entry per operator
     ``F_1 .. F_{N+1}`` (``hermiticity_residual`` ``||F_k - F_k^dag||_F``,
     ``min_eigenvalue`` and integer ``rank``, see :func:`validate_povm`), the
+    :func:`rank_one_rule` verdict ``rank_one`` of each of ``F_1 .. F_N``, the
     completeness residual ``||sum_k F_k - I||_F`` and the verdict."""
 
     hermiticity_residual: np.ndarray
     min_eigenvalue: np.ndarray
     rank: np.ndarray
+    rank_one: np.ndarray
     completeness_residual: float
     valid: bool
 
@@ -176,7 +180,7 @@ def rank_one_povm(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray | None 
     completion = np.eye(n) - ops[:n].sum(axis=0)
     ops[n] = (completion + completion.conj().T) / 2.0
     ops.setflags(write=False)
-    return PovmSet(dim=n, operators=ops, scaling=weights)
+    return PovmSet(dim=n, operators=ops)
 
 
 def build_usd_povm(
@@ -224,7 +228,7 @@ def build_usd_povm(
                 weight=float(lambdas[bad[0]]),
                 limit=float(limit[bad[0]]),
             )
-    p = rank_one_povm(ops, duals.T, linalg.frozen(lambdas))
+    p = rank_one_povm(ops, duals.T, lambdas)
     if not isinstance(strategy, str):
         min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
         if min_eig < -ctx.psd_tol:
@@ -266,86 +270,74 @@ def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol:
 
     Returns, for each operator ``F_k``, ``||F_k||_F``, the Hermiticity
     residual ``||F_k - F_k^dag||_F`` and the pivot defect
-    ``||F_k - r_k^dag r_k / w_k||_F``.  The defect is formed for the first
-    ``len(rows)`` operators whose pivot is aligned under the absolute or the
-    relative bound, ``w_k > psd_tol * min(1, ||F_k||_F)``; it is ``inf``
-    elsewhere, and no other ``w_k`` is divided by.
+    ``d_k = ||F_k - r_k^dag r_k / w_k||_F``, then, for the first ``len(rows)``
+    operators, the :func:`rank_one_rule` verdicts under ``b_k = psd_tol * min(1, ||F_k||_F)``:
+    aligned, ``w_k > b_k``, and rank one, aligned with ``d_k <= b_k``.  The
+    defect is formed only where the pivot is aligned; it is ``inf`` elsewhere,
+    and no other ``w_k`` is divided by.
     """
     norms, herm, defects = np.empty(len(ops)), np.empty(len(ops)), np.full(len(ops), np.inf)
+    bounds = np.empty(len(weights))
     for s in _blocks(ops):
         x = ops[s]
         norms[s] = _norms(x)
         t = x.transpose(0, 2, 1).copy()
         herm[s] = _norms(np.subtract(x, np.conjugate(t, out=t), out=t))
         w = weights[s]  # shorter than the block where the pivoted operators end
-        k = np.flatnonzero(w > psd_tol * np.minimum(1.0, norms[s][: len(w)]))
+        bounds[s] = psd_tol * np.minimum(1.0, norms[s][: len(w)])
+        k = np.flatnonzero(w > bounds[s])
         if k.size:
             r = rows[s][k]
             d = r.conj()[:, :, None] * (r / w[k, None])[:, None, :]
             defects[k + s.start] = _norms(np.subtract(x if k.size == len(x) else x[k], d, out=d))
-    return norms, herm, defects
-
-
-def _relative_rule(norms: np.ndarray, weights: np.ndarray, defects: np.ndarray, ctx: ToleranceContext):
-    """Aligned pivots ``w_k > psd_tol * ||F_k||_F`` and, among them, the
-    operators whose defect is within that same bound."""
-    bound = ctx.psd_tol * norms
-    aligned = weights > bound
-    return aligned, aligned & (defects <= bound)
+    aligned = weights > bounds
+    return norms, herm, defects, aligned, aligned & (defects[: len(bounds)] <= bounds)
 
 
 def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL):
-    """Rank-one rule for operators ``F_k`` with pivots ``p_k``, given the rows
-    ``r_k = p_k^dag F_k`` and weights ``w_k = Re(r_k p_k)``.
+    """The rank-one rule for operators ``F_k`` with pivots ``p_k``, rows
+    ``r_k = p_k^dag F_k`` and weights ``w_k = Re(r_k p_k)``, under the one bound
+    ``b_k = psd_tol * min(1, ||F_k||_F)``: the pivot is aligned when ``w_k > b_k``,
+    and ``F_k`` is rank one when aligned with defect ``||F_k - r_k^dag r_k / w_k||_F <= b_k``.
 
-    Returns the norms ``||F_k||_F``, whether each pivot is aligned
-    (``w_k > psd_tol * ||F_k||_F``) and whether each ``F_k`` passes: aligned,
-    with defect ``||F_k - r_k^dag r_k / w_k||_F`` within that same bound.
-    The defect is a Schur complement, so by Cauchy interlacing it bounds
-    ``|lambda_2(F_k)|`` and ``-lambda_min(F_k)``: a rank-two operator never
-    passes.  Norms and defects come from one pass over the stack in blocks
-    of at most ``BLOCK_BYTES`` (256 KiB), so no temporary is larger than one
-    block.
+    Returns the norms ``||F_k||_F`` and both verdicts.  A valid POVM has
+    ``||F_k||_F <= 1``, where ``b_k = psd_tol * ||F_k||_F``; ``b_k`` never
+    exceeds ``psd_tol``.  The defect is a Schur complement, so by Cauchy
+    interlacing it bounds ``|lambda_2(F_k)|`` and ``-lambda_min(F_k)``: a
+    rank-two operator never passes.  Norms and defects come from one pass over
+    the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB), so no temporary
+    is larger than one block.
     """
-    norms, _, defects = _stack_pass(f, rows, weights, ctx.psd_tol)
-    return (norms, *_relative_rule(norms, weights, defects, ctx))
+    norms, _, _, aligned, rank_one = _stack_pass(f, rows, weights, ctx.psd_tol)
+    return norms, aligned, rank_one
 
 
 def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostics for Hermiticity, positivity and completeness.
+    """Diagnostics for Hermiticity, positivity, completeness and rank one.
 
     Never raises; the boolean verdict is true when every operator meets the
     Hermiticity rule of :class:`ToleranceContext`, has smallest eigenvalue
     at least ``-psd_tol``, and the operators sum to identity within ``eq_tol``.
+    ``rank_one`` holds the :func:`rank_one_rule` verdict of each detection
+    operator on its :func:`diagonal_pivot`; it does not enter ``valid``.
 
-    Detection operators are certified rank one in ``O(N^2)`` each, with no
-    eigensolve: pivoted by :func:`diagonal_pivot`, ``F_k`` is certified when
-    ``w_k > psd_tol`` and its defect ``d_k = ||F_k - r_k^dag r_k / w_k||_F`` is
-    at most ``psd_tol``.  For the Hermitian part ``H`` of ``F_k``,
+    A detection operator that passes the rule with ``w_k > psd_tol`` is
+    certified rank one in ``O(N^2)``, with no eigensolve.  Its defect is
+    ``d_k <= b_k <= psd_tol``, and for the Hermitian part ``H`` of ``F_k``,
     ``||H - r_k^dag r_k / w_k||_F <= d_k``, so ``lambda_1(H) >= w_k > psd_tol``
     (a Rayleigh quotient), ``lambda_2(H) <= d_k`` (Cauchy interlacing) and
-    ``lambda_min(H) >= -d_k`` (Weyl).  A certified operator reports rank 1
-    and ``min_eigenvalue = -d_k``, a certified lower bound on its smallest
-    eigenvalue, not the eigenvalue itself; a rank-two operator is never
-    certified.  Norms, Hermiticity residuals and defects come from one pass
-    over the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB).  The
-    inconclusive operator and every uncertified operator share one
+    ``lambda_min(H) >= -d_k`` (Weyl): its rank is the eigensolve's count.
+    A certified operator reports rank 1 and ``min_eigenvalue = -d_k``, a
+    certified lower bound on its smallest eigenvalue, not the eigenvalue
+    itself.  Norms, Hermiticity residuals, defects and verdicts come from
+    one pass over the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB).
+    The inconclusive operator and every uncertified operator share one
     ``eigvalsh`` call and report exact eigenvalue diagnostics.
     """
-    return _validated(p, ctx)[0]
-
-
-def _validated(p: PovmSet, ctx: ToleranceContext) -> tuple[ValidationReport, np.ndarray]:
-    """The report of :func:`validate_povm` and, from the same pass, whether each
-    detection operator passes :func:`rank_one_rule` on its diagonal pivot."""
     ops, n = p.operators, p.dim
     rows, weights = diagonal_pivot(ops[:n])
-    norms, herm, defects = _stack_pass(ops, rows, weights, ctx.psd_tol)
-    rank_one = _relative_rule(norms[:n], weights, defects[:n], ctx)[1]
-    # from here on the absolute certificate: only w_k > psd_tol certifies, and
-    # the inconclusive operator (defect inf) never does
-    defects[:n][weights <= ctx.psd_tol] = np.inf
-    rest = np.flatnonzero(~(defects <= ctx.psd_tol))  # a NaN defect certifies nothing
+    norms, herm, defects, _, rank_one = _stack_pass(ops, rows, weights, ctx.psd_tol)
+    rest = np.flatnonzero(~np.append(rank_one & (weights > ctx.psd_tol), False))
     # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
     # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
     # so only a stack that breaks the rule pays for symmetrizing what is eigensolved.
@@ -359,15 +351,16 @@ def _validated(p: PovmSet, ctx: ToleranceContext) -> tuple[ValidationReport, np.
     ranks = np.ones(n + 1, dtype=int)
     ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
     completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
-    for a in (herm, min_eig, ranks):  # fresh arrays, frozen in place
+    for a in (herm, min_eig, ranks, rank_one):  # fresh arrays, frozen in place
         a.setflags(write=False)
     return ValidationReport(
         hermiticity_residual=herm,
         min_eigenvalue=min_eig,
         rank=ranks,
+        rank_one=rank_one,
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
-    ), rank_one
+    )
 
 
 def check_density_matrix(rho, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

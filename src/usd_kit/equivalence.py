@@ -78,9 +78,14 @@ def computational_basis(n: int) -> ProjectiveBasis:
     return ProjectiveBasis(psi=linalg.frozen(np.eye(n, dtype=complex)))
 
 
+def _passive(top: float, ctx: ToleranceContext) -> bool:
+    """The passiveness rule for the largest singular value ``top``, written once."""
+    return bool(top <= 1.0 + ctx.eq_tol)
+
+
 def _lossy(k: np.ndarray, svd, ctx: ToleranceContext) -> LossyEvolution:
-    """Freeze ``k`` with its SVD; the one place the passiveness rule is written."""
-    return LossyEvolution(k=linalg.frozen(k), svd=svd, passive=bool(svd[1][0] <= 1.0 + ctx.eq_tol))
+    """Freeze ``k`` with its SVD and passiveness."""
+    return LossyEvolution(k=linalg.frozen(k), svd=svd, passive=_passive(svd[1][0], ctx))
 
 
 def make_lossy(k, ctx: ToleranceContext = DEFAULT_TOL) -> LossyEvolution:
@@ -103,8 +108,8 @@ def normalize_passive(
     Raises
     ------
     GammaTooSmall
-        If ``gamma`` is below the spectral norm (the result would still
-        amplify) or the operator is zero.
+        If ``gamma`` (``s[0]`` by default, so zero for a zero operator) is not
+        positive, or ``s[0] / gamma`` breaks the passiveness rule: the result would amplify.
     ParamOutOfRange
         If ``gamma`` is not finite.
     """
@@ -114,9 +119,9 @@ def normalize_passive(
         raise ParamOutOfRange(f"rescaling factor must be finite, got {scale!r}")
     if scale <= 0.0:
         raise GammaTooSmall(f"cannot rescale by nonpositive factor {scale!r}")
-    if scale < top - ctx.eq_tol:
+    if not _passive(top / scale, ctx):  # checked before k / gamma can overflow
         raise GammaTooSmall(
-            f"rescaling factor {scale!r} is below the spectral norm {top!r}",
+            f"rescaling factor {scale!r} leaves the spectral norm {top!r} above 1 + eq_tol",
             spectral_norm=top,
         )
     u, s, vh = le.svd
@@ -158,17 +163,17 @@ def lossy_from_povm(
     ``r_i = psi_i^dag F_i`` and ``w_i = r_i psi_i``, all rows from one
     expression.  As ``K^dag Pi_i K = r_i^dag r_i / w_i``, the
     :func:`duality.rank_one_rule` pivoted on ``psi_i`` certifies that K
-    reproduces every ``F_i`` within ``psd_tol * ||F_i||_F``.  K is passive
-    (its Gram matrix is ``I - F_{N+1}``); the phases never affect statistics.
+    reproduces every ``F_i`` within ``b_i = psd_tol * min(1, ||F_i||_F)``.
+    K is passive (its Gram matrix is ``I - F_{N+1}``); phases never affect statistics.
 
     Raises
     ------
     RankMismatch
         If some detection operator is zero (``||F_i||_F <= psd_tol``) or
-        is not reproduced within ``psd_tol * ||F_i||_F``.
+        is not reproduced within ``b_i``.
     DegenerateBasisAlignment
         If a basis projector is orthogonal to its detection operator:
-        ``psi_i^dag F_i psi_i <= psd_tol * ||F_i||_F``.
+        ``psi_i^dag F_i psi_i <= b_i``.
     ParamOutOfRange
         If a phase is not finite.
     """

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, _validated, state_set
+from .duality import PovmSet, state_set, validate_povm
 from .discrimination import StateEnsemble, state_ensemble
 from .errors import InvalidPovm, ParseError
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -181,13 +181,13 @@ def povm_doc(p: PovmSet) -> dict:
 def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = True) -> PovmSet:
     """Parse a POVM document; with ``validate`` the full invariants are enforced.
 
-    Validation covers Hermiticity, positivity, completeness and then
-    :func:`duality.rank_one_rule` for each detection operator, pivoted by
-    :func:`duality.diagonal_pivot` on its largest diagonal entry (at least
-    ``lambda_1 / N``): ``lambda_2/lambda_1`` up to ``psd_tol / N`` always
-    passes, from ``psd_tol`` on (or a zero operator) always fails.  The rule
-    reads the norms and defects of :func:`duality.validate_povm`'s own pass,
-    so no defect is formed twice.  Failures raise ``InvalidPovm``.
+    Validation is one :func:`duality.validate_povm` call: the report must be
+    valid (Hermiticity, positivity, completeness) and its ``rank_one``
+    verdict true for every detection operator, the :func:`duality.rank_one_rule`
+    on its largest diagonal entry (at least ``lambda_1 / N``):
+    ``lambda_2/lambda_1`` up to ``psd_tol / N`` always passes, from
+    ``psd_tol`` on (or a zero operator) always fails.  The verdict comes from
+    the report's own pass, so no defect is formed twice.  Failures raise ``InvalidPovm``.
     """
     _require_keys(doc, POVM_KEYS, "povm")
     dim = _require_dim(doc, "dim", "povm")
@@ -196,16 +196,16 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
     operators = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}")
     operators.setflags(write=False)  # PovmSet keeps a read-only stack without a copy
-    p = PovmSet(dim=dim, operators=operators, scaling=None)
+    p = PovmSet(dim=dim, operators=operators)
     if validate:
-        report, rank_one = _validated(p, ctx)
+        report = validate_povm(p, ctx)
         if not report.valid:
             raise InvalidPovm(
                 "POVM failed validation on load",
                 completeness_residual=report.completeness_residual,
                 min_eigenvalues=report.min_eigenvalue.tolist(),
             )
-        bad = np.flatnonzero(~rank_one)
+        bad = np.flatnonzero(~report.rank_one)
         if bad.size:
             raise InvalidPovm(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     return p

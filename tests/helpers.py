@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from usd_kit.duality import StateSet, state_set
+from usd_kit.duality import PovmSet, StateSet, state_set
 from usd_kit.equivalence import ProjectiveBasis, projective_basis
 from usd_kit.linalg import DEFAULT_TOL
 
@@ -107,6 +107,13 @@ def random_state_set(
         m /= np.linalg.norm(m, axis=0)
         if np.linalg.cond(m) <= max_cond:
             return state_set(m)
+
+
+def first_weight(p: PovmSet, s: StateSet) -> float:
+    """The weight ``w`` of ``F_1 = w |d_1><d_1|`` read off the operators as
+    ``tr F_1 / ||d_1||^2``, with ``d_1^dag`` the first row of numpy's ``inv(A)``."""
+    d = np.linalg.inv(s.states)[0]
+    return float(np.trace(p.operators[0]).real / np.vdot(d, d).real)
 
 
 def record_calls(monkeypatch, name):

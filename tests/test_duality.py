@@ -23,6 +23,7 @@ from usd_kit.errors import (
     DimensionMismatch,
     InfeasibleScaling,
     InvalidDensityMatrix,
+    InvalidMatrix,
     InvalidPovm,
     InvalidStateSet,
     ParamOutOfRange,
@@ -35,6 +36,7 @@ from usd_kit.linalg import DEFAULT_TOL, ToleranceContext, check_invertible, sv_c
 
 from helpers import (
     fig1_states,
+    first_weight,
     log_spaced_states,
     oracle_report,
     random_complex,
@@ -156,7 +158,7 @@ def test_dual_round_trip_recovers_rays():
 def test_uniform_max_on_orthonormal_states_is_projective():
     s = state_set(np.eye(3))
     p = build_usd_povm(s)
-    assert abs(p.scaling[0] - 1.0) < 1e-9
+    assert abs(first_weight(p, s) - 1.0) < 1e-9
     for i in range(3):
         projector = np.zeros((3, 3))
         projector[i, i] = 1.0
@@ -165,9 +167,10 @@ def test_uniform_max_on_orthonormal_states_is_projective():
 
 
 def test_uniform_max_fig1_matches_hand_arithmetic():
-    p = build_usd_povm(state_set(fig1_states()))
+    s = state_set(fig1_states())
+    p = build_usd_povm(s)
     f1, f2, f3 = fig1_povm_operators()
-    assert abs(p.scaling[0] - 0.4) < 1e-10
+    assert abs(first_weight(p, s) - 0.4) < 1e-10
     assert frob(np.asarray(p.operators[0]) - f1) < 1e-10
     assert frob(np.asarray(p.operators[1]) - f2) < 1e-10
     assert frob(np.asarray(p.operators[2]) - f3) < 1e-10
@@ -235,6 +238,19 @@ def test_povm_rejects_operators_of_the_wrong_shape(ops):
         PovmSet(dim=2, operators=ops)
 
 
+def test_povm_rejects_an_empty_space():
+    with pytest.raises(DimensionMismatch):
+        PovmSet(dim=0, operators=np.zeros((1, 0, 0)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+def test_povm_rejects_non_finite_entries(bad):
+    ops = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))], dtype=complex)
+    ops[1, 0, 1] = bad
+    with pytest.raises(InvalidMatrix):
+        PovmSet(dim=2, operators=ops)
+
+
 # -- validate_povm ---------------------------------------------------------------
 
 def test_validate_projective_povm():
@@ -254,9 +270,9 @@ def test_validate_fig1_povm_rank_structure():
 def test_report_and_duals_are_read_only_arrays():
     s = state_set(fig1_states())
     report = validate_povm(build_usd_povm(s))
-    columns = (report.hermiticity_residual, report.min_eigenvalue, report.rank, dual_set(s))
-    assert [a.shape for a in columns] == [(3,), (3,), (3,), (2, 2)]
-    assert report.rank.dtype.kind == "i"
+    columns = (report.hermiticity_residual, report.min_eigenvalue, report.rank, report.rank_one, dual_set(s))
+    assert [a.shape for a in columns] == [(3,), (3,), (3,), (2,), (2, 2)]
+    assert report.rank.dtype.kind == "i" and report.rank_one.dtype == bool
     assert not any(a.flags.writeable for a in columns)
 
 
@@ -292,6 +308,37 @@ def test_validate_scales_the_hermiticity_bound_with_the_operator(residual, valid
     assert report.valid is valid
 
 
+# -- the one bound b_k = psd_tol * min(1, ||F_k||_F) ----------------------------------
+
+def test_certificate_reads_the_rule_bound_below_unit_norm():
+    # F_1 = diag(0.5, 1.5e-9): on its diagonal pivot the defect is 0.75e-9, above
+    # b_1 = 0.5e-9 yet below psd_tol, so F_1 is not certified: it reports its exact
+    # smallest eigenvalue, not -d_1, and the eigensolve's rank 1
+    tol = DEFAULT_TOL.psd_tol
+    f1 = np.diag([0.5, 0.5 * 1.5 * tol])
+    p = PovmSet(dim=2, operators=(f1, np.diag([0.0, 0.5]), np.eye(2) - f1 - np.diag([0.0, 0.5])))
+    report = validate_povm(p)
+    assert report.valid
+    assert report.rank.tolist() == [1, 1, 2]
+    assert report.min_eigenvalue[0] == np.linalg.eigvalsh(f1)[0] > 0.0
+    assert report.rank_one.tolist() == [False, True]
+    with pytest.raises(InvalidPovm) as err:
+        io.povm_from_doc(io.povm_doc(p))
+    assert err.value.context["operator"] == 1
+
+
+def test_reconstruction_bound_is_psd_tol_above_unit_norm():
+    # an unvalidated stack with ||F_1||_F = 4: the defect 2 psd_tol on the pivot
+    # psi_1 = e_1 is within psd_tol * ||F_1||_F but not within b_1 = psd_tol
+    tol = DEFAULT_TOL.psd_tol
+    f1, f2 = np.diag([4.0, 2.0 * tol]), np.diag([0.0, 1.0])
+    p = PovmSet(dim=2, operators=(f1, f2, np.eye(2) - f1 - f2))
+    assert not validate_povm(p).valid
+    with pytest.raises(RankMismatch) as err:
+        lossy_from_povm(p, computational_basis(2))
+    assert err.value.context["operator"] == 1
+
+
 # -- work counts: one SVD per state set, one eigensolve per valid USD POVM ----------
 
 def test_validate_eigensolves_only_the_inconclusive_operator(monkeypatch):
@@ -308,11 +355,13 @@ def test_validate_eigensolves_only_the_inconclusive_operator(monkeypatch):
 def test_validated_load_makes_one_pass_and_one_eigensolve(monkeypatch):
     doc = io.povm_doc(build_usd_povm(random_state_set(np.random.default_rng(6), 8)))
     calls = record_calls(monkeypatch, "eigvalsh")
-    passes = []
+    passes, reports = [], []
     monkeypatch.setattr(duality, "_stack_pass", lambda *args: passes.append(1) or _stack_pass(*args))
+    monkeypatch.setattr(io, "validate_povm", lambda *args: reports.append(1) or validate_povm(*args))
     io.povm_from_doc(doc)
     assert calls == [(1, 8, 8)]
     assert passes == [1]  # the load's rank-one verdict forms no defect a second time
+    assert reports == [1]  # and comes from the public report
 
 
 def test_state_set_and_build_share_one_svd(monkeypatch):
@@ -380,22 +429,23 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     p = block_test_povm(n, variant)
     ops, tol = p.operators, DEFAULT_TOL
     rows, weights, norms, herm, defects = per_operator_reference(ops, n)
-    asked = weights > tol.psd_tol * np.minimum(1.0, norms[:n])
+    bound = tol.psd_tol * np.minimum(1.0, norms[:n])  # the rule's one bound b_k
+    asked = weights > bound
     assert asked.all()
     got = _stack_pass(ops, rows, weights, tol.psd_tol)
     assert np.array_equal(got[0], norms) and np.array_equal(got[1], herm)
     assert np.array_equal(got[2], np.append(defects, np.inf))
+    passed = asked & (defects <= bound)
+    assert np.array_equal(got[3], asked) and np.array_equal(got[4], passed)
 
     # the rank-one rule on the diagonal pivot and on the computational basis,
     # lossy_from_povm's pivot there, against the rule one operator at a time
-    bound = tol.psd_tol * norms[:n]
     diag = np.arange(n)
     for r, w in [(rows, weights), (ops[diag, diag], ops[diag, diag, diag].real)]:
         reference = [wk > b and np.linalg.norm(f - np.outer(rk.conj(), rk / wk)) <= b
                      for f, rk, wk, b in zip(ops, r, w, bound)]
         rule = rank_one_rule(ops[:n], r, w)
         assert np.array_equal(rule[0], norms[:n]) and rule[2].tolist() == reference
-    passed = (weights > bound) & (defects <= bound)
     assert passed.all() or variant != "clean"
     assert not passed.all() or variant != "rank_two"
 
@@ -405,7 +455,8 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     assert report.hermiticity_residual.tolist() == herm.tolist()
     assert report.rank.tolist() == ranks
     assert report.valid is valid is (variant != "non_hermitian")
-    certified = np.flatnonzero((weights > tol.psd_tol) & (defects <= tol.psd_tol))
+    assert np.array_equal(report.rank_one, passed)
+    certified = np.flatnonzero(passed & (weights > tol.psd_tol))  # the rule plus the rank threshold
     assert report.min_eigenvalue[certified].tolist() == (0.0 - defects[certified]).tolist()
 
     # outcome probabilities of the states behind the POVM

@@ -83,6 +83,16 @@ def test_normalize_passive_rescales_jordan():
 def test_normalize_passive_gamma_too_small():
     with pytest.raises(GammaTooSmall):
         normalize_passive(make_lossy(np.eye(2)), gamma=0.5)
+    with pytest.raises(GammaTooSmall):  # 1 / 1e-320 overflows; checked before K / gamma
+        normalize_passive(make_lossy(np.eye(2)), gamma=1e-320)
+
+
+def test_normalize_passive_gamma_follows_the_passiveness_rule():
+    # s[0] / gamma = 1 + 1.8e-10 breaks s[0] <= 1 + eq_tol: no non-passive result
+    with pytest.raises(GammaTooSmall):
+        normalize_passive(make_lossy(0.5 * np.eye(2)), 0.5 - 0.9e-10)
+    # s[0] / gamma = 1 + 5e-11 keeps it, although gamma is 5e-9 below s[0] = 100
+    assert normalize_passive(make_lossy(100.0 * np.eye(2)), 100.0 - 5e-9).passive
 
 
 @pytest.mark.parametrize("gamma", [np.inf, np.nan])

@@ -49,7 +49,7 @@ from usd_kit.errors import (
 )
 from usd_kit.linalg import DEFAULT_TOL, orthonormal_frame, sv_condition
 
-from helpers import log_spaced_states, oracle_report, random_complex, random_unitary
+from helpers import first_weight, log_spaced_states, oracle_report, random_complex, random_unitary
 
 PROPERTY = settings(max_examples=10, deadline=None)
 DIMS = st.integers(1, 64)
@@ -66,7 +66,7 @@ def random_states(seed: int, n: int) -> np.ndarray:
 def test_uniform_weight_is_the_largest_feasible(dim, seed):
     s = state_set(random_states(seed, dim))
     p = build_usd_povm(s)
-    weight = float(p.scaling[0])
+    weight = first_weight(p, s)
     min_eig = np.linalg.eigvalsh(np.asarray(p.inconclusive))[0]
     assert -DEFAULT_TOL.psd_tol <= min_eig <= DEFAULT_TOL.psd_tol
     with pytest.raises(InfeasibleScaling):
