@@ -12,6 +12,7 @@ from .discrimination import (
     RandomSource,
     StateEnsemble,
     density_matrix,
+    outcome_probabilities,
     post_measurement_state,
     sample_outcomes,
     state_ensemble,
@@ -23,7 +24,6 @@ from .duality import (
     ValidationReport,
     build_usd_povm,
     dual_set,
-    outcome_probabilities,
     state_set,
     subspace_reduce,
     validate_povm,

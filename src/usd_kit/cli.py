@@ -261,7 +261,7 @@ def _cmd_discriminate(args, ctx: ToleranceContext) -> int:
     else:
         le = make_lossy(io.matrix_from_doc(io.read_json(args.k)), ctx)
         povm = povm_from_lossy(le, computational_basis(le.dim))
-    report = usd_report(ensemble, povm)
+    report = usd_report(ensemble, povm, ctx)
     doc = {"report": _report_doc(report)}
     if args.trials is not None:
         stats = sample_outcomes(ensemble, povm, args.trials, RandomSource(seed=args.seed), ctx)
@@ -286,7 +286,7 @@ def _cmd_example(args, ctx: ToleranceContext) -> int:
     povm = povm_from_lossy(scenario.k, scenario.basis)
     n = scenario.input_states.count
     ensemble = state_ensemble(scenario.input_states, np.full(n, 1.0 / n))
-    report = usd_report(ensemble, povm)
+    report = usd_report(ensemble, povm, ctx)
     doc = {
         "name": scenario.name,
         "param": float(args.param),

@@ -1,7 +1,8 @@
 """End-to-end discrimination workflow: ensembles, reports, sampling.
 
 Analytic outcome probabilities come from traces against the POVM
-operators; Monte Carlo sampling draws exact multinomial counts from a
+operators and pass one probability rule before anything reads them;
+Monte Carlo sampling draws exact multinomial counts from a
 counter-based generator so runs are reproducible bit for bit.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, _blocks, check_density_matrix, validate_povm
+from .duality import PovmSet, StateSet, _blocks, check_density_matrix
 from .errors import (
     DimensionMismatch,
     InvalidEnsemble,
@@ -111,7 +112,30 @@ def density_matrix(e: StateEnsemble) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def _per_state_probabilities(e: StateEnsemble, p: PovmSet) -> np.ndarray:
+def _probability_rule(probs: np.ndarray, totals: np.ndarray, ctx: ToleranceContext) -> np.ndarray:
+    """The one probability rule.  Row ``i`` of ``probs`` holds ``<a_i|F_j|a_i>`` and
+    ``totals[i] = <a_i|a_i>`` (``tr(rho F_j)`` and ``tr(rho)`` for a density matrix).
+    Divided by its total, every row has entries at least ``-psd_tol`` and sums to 1
+    within ``eq_tol``.  A valid POVM always meets it: ``<a|F_j|a> >= lambda_min(F_j) <a|a>``
+    and, for ``E = sum_j F_j - I``, ``|<a|E|a>| <= ||E||_F <a|a>``.  Returns ``probs``
+    clipped at zero; a break raises ``InvalidPovm`` naming the state, the outcome
+    (or the row sum) and the number."""
+    rel = probs / totals[:, None]
+    off = np.abs(rel.sum(axis=1) - 1.0)
+    if rel.min() >= -ctx.psd_tol and off.max() <= ctx.eq_tol:  # a NaN fails both
+        return np.maximum(probs, 0.0)  # what np.clip(probs, 0.0, None) calls
+    below = np.argwhere(~(rel >= -ctx.psd_tol))
+    if below.size:
+        i, j = below[0]
+        raise InvalidPovm(f"state {i + 1}: outcome {j + 1} has probability {probs[i, j]:.3e} below -psd_tol",
+                          state=int(i) + 1, outcome=int(j) + 1, probability=float(probs[i, j]))
+    i = np.flatnonzero(~(off <= ctx.eq_tol))[0]
+    total = float(probs[i].sum())
+    raise InvalidPovm(f"state {i + 1}: outcome probabilities sum to {total!r}, not {float(totals[i])!r}",
+                      state=int(i) + 1, probability_sum=total)
+
+
+def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext) -> np.ndarray:
     if e.dim != p.dim:
         raise DimensionMismatch(
             f"ensemble dimension {e.dim} does not match POVM dimension {p.dim}"
@@ -125,17 +149,22 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet) -> np.ndarray:
     probs = np.concatenate(
         [np.sum(bra * (ops[s].reshape(-1, n) @ a).reshape(-1, n, count), axis=1).real for s in _blocks(ops)]
     ).T
-    return np.clip(probs, 0.0, None)
+    return _probability_rule(probs, (bra * a).real.sum(axis=0), ctx)
 
 
-def usd_report(e: StateEnsemble, p: PovmSet) -> DiscriminationReport:
-    """Analytic discrimination report for an ensemble measured with a POVM."""
+def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> DiscriminationReport:
+    """Analytic discrimination report for an ensemble measured with a POVM.
+
+    Raises ``DimensionMismatch`` unless there is one detection operator per
+    state, and ``InvalidPovm`` when the outcome probabilities break
+    :func:`_probability_rule` under ``ctx``, which a valid POVM never does.
+    """
     if e.count != p.dim:
         raise DimensionMismatch(
             f"report needs one detection operator per state: {e.count} states, "
             f"{p.dim} detection operators"
         )
-    probs = _per_state_probabilities(e, p)
+    probs = _per_state_probabilities(e, p, ctx)
     n = e.count
     success = np.diagonal(probs).copy()
     errors = probs[:, :n].copy()
@@ -153,17 +182,16 @@ def usd_report(e: StateEnsemble, p: PovmSet) -> DiscriminationReport:
 
 
 def sample_outcomes(
-    e: StateEnsemble,
-    p: PovmSet,
-    trials_per_state: int,
-    rng: RandomSource,
+    e: StateEnsemble, p: PovmSet, trials_per_state: int, rng: RandomSource,
     ctx: ToleranceContext = DEFAULT_TOL,
 ) -> OutcomeStats:
     """Draw exact multinomial outcome counts; deterministic per seed.
 
     Each prepared state's row of N+1 counts is one multinomial draw of
     ``trials_per_state`` trials over its outcome probabilities, all rows
-    from one generator keyed with the seed.
+    from one generator keyed with the seed.  The POVM is not validated:
+    exactly what passes :func:`_probability_rule` is sampled, so a POVM that
+    breaks validation only in directions no prepared state probes is sampled.
 
     Raises
     ------
@@ -171,21 +199,29 @@ def sample_outcomes(
         When ``trials_per_state`` is not an integer (``bool`` included), or is
         negative or above ``2**63 - 1``, the largest ``int64`` count.
     InvalidPovm
-        When the POVM fails validation (Hermiticity, positivity or
-        completeness).
+        When the outcome probabilities break :func:`_probability_rule`.
     """
     trials = trials_per_state
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or not 0 <= trials < 2**63:
         raise InvalidEnsemble(f"trials_per_state must be an integer in [0, 2**63), got {trials!r}")
-    report = validate_povm(p, ctx)
-    if not report.valid:
-        raise InvalidPovm(
-            "POVM failed validation",
-            completeness_residual=report.completeness_residual,
-        )
-    probs = _per_state_probabilities(e, p)
+    probs = _per_state_probabilities(e, p, ctx)
     counts = rng.generator().multinomial(trials, probs / probs.sum(axis=1, keepdims=True))
     return OutcomeStats(counts=linalg.frozen(counts), trials=trials, seed=rng.seed)
+
+
+def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+    """Outcome distribution ``p_i = tr(rho F_i)`` including the inconclusive slot.
+
+    Raises ``InvalidDensityMatrix`` when ``rho`` is not a density matrix, and
+    ``InvalidPovm`` when the distribution, one row, breaks :func:`_probability_rule`.
+    """
+    m = check_density_matrix(rho, ctx)
+    if m.shape[0] != p.dim:
+        raise DimensionMismatch(
+            f"density matrix dimension {m.shape[0]} does not match POVM dimension {p.dim}"
+        )
+    probs = np.einsum("ij,kji->k", m, p.operators).real
+    return _probability_rule(probs[None], np.trace(m).real[None], ctx)[0]
 
 
 def post_measurement_state(rho, f, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import (
     InvalidMatrix,
     InvalidStateSet,
     ParamOutOfRange,
-    RankDeficient,
     SingularStates,
 )
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -57,9 +55,6 @@ class StateSet:
     @property
     def count(self) -> int:
         return self.states.shape[1]
-
-    def column(self, i: int) -> np.ndarray:
-        return self.states[:, i]
 
 
 @dataclass(frozen=True)
@@ -109,9 +104,6 @@ class ValidationReport:
     rank_one: np.ndarray
     completeness_residual: float
     valid: bool
-
-
-ScalingStrategy = Union[str, Sequence[float]]
 
 
 def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
@@ -183,19 +175,15 @@ def rank_one_povm(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray | None 
     return PovmSet(dim=n, operators=ops)
 
 
-def build_usd_povm(
-    s: StateSet,
-    strategy: ScalingStrategy = "uniform-max",
-    ctx: ToleranceContext = DEFAULT_TOL,
-) -> PovmSet:
+def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TOL) -> PovmSet:
     """Construct the USD POVM ``F_i = lambda_i |d_i><d_i|`` for a state set.
 
-    ``strategy`` is either the string ``"uniform-max"`` or an explicit
-    sequence of N positive weights.  ``"uniform-max"`` takes the largest
-    shared weight that keeps the inconclusive operator positive, in
-    closed form: from one SVD ``A = U S V^dag``, the duals give
-    ``I - lambda D D^dag = U (I - lambda S^{-2}) U^dag``, positive exactly when
-    ``lambda <= sigma_min(A)^2`` and, at that weight, to round-off below ``cond_max``.
+    ``weights`` is a sequence of N positive weights ``lambda_i``.  Without
+    it every ``lambda_i`` is the largest shared weight that keeps the
+    inconclusive operator positive, in closed form: from one SVD
+    ``A = U S V^dag``, the duals give ``I - lambda D D^dag = U (I - lambda S^{-2}) U^dag``,
+    positive exactly when ``lambda <= sigma_min(A)^2`` and, at that weight,
+    to round-off below ``cond_max``.
 
     Raises
     ------
@@ -208,12 +196,10 @@ def build_usd_povm(
     n = s.dim
     ops = np.empty((n + 1, n, n), dtype=complex)
     duals = dual_set(s, ctx)
-    if isinstance(strategy, str):
-        if strategy != "uniform-max":
-            raise ParamOutOfRange(f"unknown scaling strategy {strategy!r}")
+    if weights is None:
         lambdas = np.full(n, s.sv[-1] ** 2)
     else:
-        lambdas = np.asarray(strategy, dtype=float)
+        lambdas = np.asarray(weights, dtype=float)
         if lambdas.shape != (n,):
             raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}")
         if not np.all((lambdas > 0.0) & np.isfinite(lambdas)):
@@ -229,7 +215,7 @@ def build_usd_povm(
                 limit=float(limit[bad[0]]),
             )
     p = rank_one_povm(ops, duals.T, lambdas)
-    if not isinstance(strategy, str):
+    if weights is not None:
         min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
         if min_eig < -ctx.psd_tol:
             raise InfeasibleScaling(
@@ -272,9 +258,9 @@ def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol:
     residual ``||F_k - F_k^dag||_F`` and the pivot defect
     ``d_k = ||F_k - r_k^dag r_k / w_k||_F``, then, for the first ``len(rows)``
     operators, the :func:`rank_one_rule` verdicts under ``b_k = psd_tol * min(1, ||F_k||_F)``:
-    aligned, ``w_k > b_k``, and rank one, aligned with ``d_k <= b_k``.  The
-    defect is formed only where the pivot is aligned; it is ``inf`` elsewhere,
-    and no other ``w_k`` is divided by.
+    nonzero, ``||F_k||_F > psd_tol``; aligned, ``w_k > b_k``; and rank one,
+    nonzero and aligned with ``d_k <= b_k``.  The defect is formed only where
+    the pivot is aligned; it is ``inf`` elsewhere, and no other ``w_k`` is divided by.
     """
     norms, herm, defects = np.empty(len(ops)), np.empty(len(ops)), np.full(len(ops), np.inf)
     bounds = np.empty(len(weights))
@@ -290,17 +276,18 @@ def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol:
             r = rows[s][k]
             d = r.conj()[:, :, None] * (r / w[k, None])[:, None, :]
             defects[k + s.start] = _norms(np.subtract(x if k.size == len(x) else x[k], d, out=d))
-    aligned = weights > bounds
-    return norms, herm, defects, aligned, aligned & (defects[: len(bounds)] <= bounds)
+    nonzero, aligned = norms[: len(bounds)] > psd_tol, weights > bounds
+    return norms, herm, defects, nonzero, aligned, nonzero & aligned & (defects[: len(bounds)] <= bounds)
 
 
 def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL):
     """The rank-one rule for operators ``F_k`` with pivots ``p_k``, rows
     ``r_k = p_k^dag F_k`` and weights ``w_k = Re(r_k p_k)``, under the one bound
-    ``b_k = psd_tol * min(1, ||F_k||_F)``: the pivot is aligned when ``w_k > b_k``,
-    and ``F_k`` is rank one when aligned with defect ``||F_k - r_k^dag r_k / w_k||_F <= b_k``.
+    ``b_k = psd_tol * min(1, ||F_k||_F)``: ``F_k`` is nonzero when
+    ``||F_k||_F > psd_tol``, the pivot is aligned when ``w_k > b_k``, and ``F_k``
+    is rank one when nonzero and aligned with defect ``||F_k - r_k^dag r_k / w_k||_F <= b_k``.
 
-    Returns the norms ``||F_k||_F`` and both verdicts.  A valid POVM has
+    Returns the three verdicts ``(nonzero, aligned, rank_one)``.  A valid POVM has
     ``||F_k||_F <= 1``, where ``b_k = psd_tol * ||F_k||_F``; ``b_k`` never
     exceeds ``psd_tol``.  The defect is a Schur complement, so by Cauchy
     interlacing it bounds ``|lambda_2(F_k)|`` and ``-lambda_min(F_k)``: a
@@ -308,8 +295,7 @@ def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContex
     the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB), so no temporary
     is larger than one block.
     """
-    norms, _, _, aligned, rank_one = _stack_pass(f, rows, weights, ctx.psd_tol)
-    return norms, aligned, rank_one
+    return _stack_pass(f, rows, weights, ctx.psd_tol)[3:]
 
 
 def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> ValidationReport:
@@ -319,7 +305,9 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     Hermiticity rule of :class:`ToleranceContext`, has smallest eigenvalue
     at least ``-psd_tol``, and the operators sum to identity within ``eq_tol``.
     ``rank_one`` holds the :func:`rank_one_rule` verdict of each detection
-    operator on its :func:`diagonal_pivot`; it does not enter ``valid``.
+    operator on its :func:`diagonal_pivot`; it does not enter ``valid``.  An
+    operator with ``||F_k||_F <= psd_tol`` is never rank one, so ``rank_one``
+    is false wherever ``rank`` is 0.
 
     A detection operator that passes the rule with ``w_k > psd_tol`` is
     certified rank one in ``O(N^2)``, with no eigensolve.  Its defect is
@@ -336,7 +324,7 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     """
     ops, n = p.operators, p.dim
     rows, weights = diagonal_pivot(ops[:n])
-    norms, herm, defects, _, rank_one = _stack_pass(ops, rows, weights, ctx.psd_tol)
+    norms, herm, defects, _, _, rank_one = _stack_pass(ops, rows, weights, ctx.psd_tol)
     rest = np.flatnonzero(~np.append(rank_one & (weights > ctx.psd_tol), False))
     # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
     # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
@@ -378,26 +366,6 @@ def check_density_matrix(rho, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray
             f"density matrix has eigenvalue {min_eig:.3e} below -psd_tol"
         )
     return m
-
-
-def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Outcome distribution ``p_i = tr(rho F_i)`` including the inconclusive slot.
-
-    Tiny negative values from round-off (above ``-psd_tol``) are clamped
-    to zero; completeness of the POVM makes the entries sum to one.
-    """
-    m = check_density_matrix(rho, ctx)
-    if m.shape[0] != p.dim:
-        raise DimensionMismatch(
-            f"density matrix dimension {m.shape[0]} does not match POVM dimension {p.dim}"
-        )
-    probs = np.einsum("ij,kji->k", m, p.operators).real
-    if np.any(probs < -ctx.psd_tol):
-        raise InvalidDensityMatrix(
-            "negative outcome probability beyond psd_tol; POVM or state invalid",
-            min_probability=float(probs.min()),
-        )
-    return np.clip(probs, 0.0, None)
 
 
 def subspace_reduce(

@@ -59,13 +59,6 @@ class ProjectiveBasis:
     def dim(self) -> int:
         return self.psi.shape[0]
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.psi[:, i]
-
-    def projector(self, i: int) -> np.ndarray:
-        v = self.psi[:, i]
-        return np.outer(v, v.conj())
-
 
 def projective_basis(psi, ctx: ToleranceContext = DEFAULT_TOL) -> ProjectiveBasis:
     """Validate unitarity of the basis matrix and freeze it."""
@@ -169,8 +162,8 @@ def lossy_from_povm(
     Raises
     ------
     RankMismatch
-        If some detection operator is zero (``||F_i||_F <= psd_tol``) or
-        is not reproduced within ``b_i``.
+        If some detection operator is zero under the rule's threshold
+        (``||F_i||_F <= psd_tol``) or is not reproduced within ``b_i``.
     DegenerateBasisAlignment
         If a basis projector is orthogonal to its detection operator:
         ``psi_i^dag F_i psi_i <= b_i``.
@@ -196,8 +189,8 @@ def lossy_from_povm(
     psi = basis.psi
     rows = np.einsum("ik,kij->kj", psi.conj(), f)  # row k is psi_k^dag F_k
     weights = np.einsum("ij,ji->i", rows, psi).real
-    norms, aligned, passed = rank_one_rule(f, rows, weights, ctx)
-    bad = np.flatnonzero(norms <= ctx.psd_tol)
+    nonzero, aligned, passed = rank_one_rule(f, rows, weights, ctx)
+    bad = np.flatnonzero(~nonzero)
     if bad.size:
         raise RankMismatch(f"detection operator {bad[0] + 1} is zero", operator=int(bad[0]) + 1)
     bad = np.flatnonzero(~aligned)

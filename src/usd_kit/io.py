@@ -186,8 +186,9 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     verdict true for every detection operator, the :func:`duality.rank_one_rule`
     on its largest diagonal entry (at least ``lambda_1 / N``):
     ``lambda_2/lambda_1`` up to ``psd_tol / N`` always passes, from
-    ``psd_tol`` on (or a zero operator) always fails.  The verdict comes from
-    the report's own pass, so no defect is formed twice.  Failures raise ``InvalidPovm``.
+    ``psd_tol`` on always fails, and so does an operator with ``||F||_F <= psd_tol``.
+    The verdict comes from the report's own pass, so no defect is formed twice.
+    Failures raise ``InvalidPovm``.
     """
     _require_keys(doc, POVM_KEYS, "povm")
     dim = _require_dim(doc, "dim", "povm")

@@ -65,7 +65,7 @@ def test_criterion_1_fig1_closed_form():
         assert abs(report.total_success - 0.4) <= 1e-10
         assert abs(report.total_inconclusive - 0.6) <= 1e-10
         for i in range(2):
-            out = np.asarray(scenario.k.k) @ scenario.input_states.column(i)
+            out = np.asarray(scenario.k.k) @ scenario.input_states.states[:, i]
             assert abs(np.linalg.norm(out) - FIG1_AMPLITUDE) <= 1e-10
             assert abs(abs(out[i]) - FIG1_AMPLITUDE) <= 1e-10
         assert time.perf_counter() - start < 1.0
@@ -78,8 +78,8 @@ def test_criterion_2_fig1_attains_overlap_bound():
             report = equal_prior_report(scenario)
             closed_form = (1.0 - gamma**2) / (1.0 + gamma**2)
             overlap = abs(
-                scenario.input_states.column(0).conj()
-                @ scenario.input_states.column(1)
+                scenario.input_states.states[:, 0].conj()
+                @ scenario.input_states.states[:, 1]
             )
             assert abs(report.total_inconclusive - closed_form) <= 1e-10
             assert abs(report.total_inconclusive - overlap) <= 1e-10
@@ -145,7 +145,7 @@ def test_criterion_7_fig2_output_structure():
             z = 0.2 * step
             scenario = fig2_scenario(z)
             u = np.asarray(scenario.full_unitary)
-            ins = [np.append(scenario.input_states.column(i), 0.0) for i in range(2)]
+            ins = [np.append(scenario.input_states.states[:, i], 0.0) for i in range(2)]
             outs = [u @ vec for vec in ins]
             assert abs(outs[0][1]) <= 1e-10
             assert abs(outs[1][0]) <= 1e-10

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from usd_kit import duality
 from usd_kit.discrimination import (
     RandomSource,
     density_matrix,
@@ -25,7 +26,7 @@ from usd_kit.errors import (
 )
 from usd_kit.linalg import DEFAULT_TOL
 
-from helpers import fig1_states, random_complex, random_density, random_state_set
+from helpers import fig1_states, random_complex, random_density, random_state_set, record_calls
 
 
 def frob(a):
@@ -151,9 +152,9 @@ def test_report_agrees_with_evolved_projective_probabilities():
         le = lossy_from_povm(build_usd_povm(s), basis)
         k = np.asarray(le.k)
         for i in range(dim):
-            evolved = k @ s.column(i)
+            evolved = k @ s.states[:, i]
             for j in range(dim):
-                projective = abs(basis.vector(j).conj() @ evolved) ** 2
+                projective = abs(basis.psi[:, j].conj() @ evolved) ** 2
                 via_povm = (
                     povm_report.per_state_success[i]
                     if i == j
@@ -238,6 +239,53 @@ def test_sampling_rejects_invalid_povm():
         sample_outcomes(fig1_ensemble(), PovmSet(dim=2, operators=ops), 10, RandomSource(seed=1))
 
 
+def overfull_povm() -> PovmSet:
+    """``F_1 = diag(1.5, 0)`` with its completion ``diag(-0.5, 0)``: the report
+    used to clip the -0.5 and return success 1.5 for state 1."""
+    return PovmSet(dim=2, operators=[np.diag([1.5, 0.0]), np.diag([0.0, 1.0]), np.diag([-0.5, 0.0])])
+
+
+def test_report_rejects_a_negative_probability_of_an_unvalidated_povm():
+    e = state_ensemble(state_set(np.eye(2)), [0.5, 0.5])
+    for run in (lambda: usd_report(e, overfull_povm()),
+                lambda: sample_outcomes(e, overfull_povm(), 10, RandomSource(seed=1))):
+        with pytest.raises(InvalidPovm) as err:
+            run()
+        assert err.value.context == {"state": 1, "outcome": 3, "probability": -0.5}
+
+
+def test_probability_rule_reads_each_state_norm():
+    # column norms 1 + 0.9e-10 pass state_set; the exact projective POVM gives
+    # rows summing to 1 + 1.8e-10, which is their states' squared norm
+    s = state_set(np.eye(2) * (1.0 + 0.9e-10))
+    e = state_ensemble(s, [0.5, 0.5])
+    p = PovmSet(dim=2, operators=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+    assert usd_report(e, p).per_state_success.tolist() == [(1.0 + 0.9e-10) ** 2] * 2
+    doubled = PovmSet(dim=2, operators=[np.diag([2.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+    with pytest.raises(InvalidPovm) as err:
+        usd_report(e, doubled)
+    assert err.value.context["state"] == 1
+
+
+def test_sampling_makes_no_validation_pass(monkeypatch):
+    e, p = fig1_ensemble(), fig1_povm()
+    passes = []
+    stack_pass = duality._stack_pass
+    monkeypatch.setattr(duality, "_stack_pass", lambda *args: passes.append(1) or stack_pass(*args))
+    calls = record_calls(monkeypatch, "eigvalsh")
+    sample_outcomes(e, p, 100, RandomSource(seed=1))
+    assert passes == [] and calls == []
+
+
+def test_sampling_draws_what_the_rule_accepts():
+    # F_1 = diag(1, 1.5) breaks positivity and completeness only along e_2,
+    # which the one prepared state e_1 never probes
+    e = state_ensemble(state_set(np.array([[1.0], [0.0]])), [1.0])
+    p = PovmSet(dim=2, operators=[np.diag([1.0, 1.5]), np.zeros((2, 2)), np.diag([0.0, -0.5])])
+    assert not duality.validate_povm(p).valid
+    assert sample_outcomes(e, p, 50, RandomSource(seed=1)).counts.tolist() == [[50, 0, 0]]
+
+
 def test_sampling_frequencies_track_probabilities():
     rng = np.random.default_rng(139)
     s = random_state_set(rng, 3)
@@ -246,7 +294,7 @@ def test_sampling_frequencies_track_probabilities():
     trials = 100_000
     stats = sample_outcomes(e, p, trials, RandomSource(seed=11))
     for i in range(3):
-        alpha = s.column(i)
+        alpha = s.states[:, i]
         probs = np.array(
             [(alpha.conj() @ np.asarray(op) @ alpha).real for op in p.operators]
         ).clip(0.0)

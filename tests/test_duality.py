@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from usd_kit import duality, io
-from usd_kit.discrimination import state_ensemble, usd_report
+from usd_kit.discrimination import outcome_probabilities, state_ensemble, usd_report
 from usd_kit.duality import (
     StateSet,
     _blocks,
@@ -11,7 +11,6 @@ from usd_kit.duality import (
     check_density_matrix,
     diagonal_pivot,
     dual_set,
-    outcome_probabilities,
     rank_one_rule,
     state_set,
     subspace_reduce,
@@ -178,32 +177,27 @@ def test_uniform_max_fig1_matches_hand_arithmetic():
 
 def test_explicit_scaling_too_large_is_infeasible():
     with pytest.raises(InfeasibleScaling):
-        build_usd_povm(state_set(fig1_states()), strategy=[1.0, 1.0])
+        build_usd_povm(state_set(fig1_states()), weights=[1.0, 1.0])
 
 
 def test_explicit_scaling_must_be_positive():
     with pytest.raises(ParamOutOfRange):
-        build_usd_povm(state_set(fig1_states()), strategy=[0.4, 0.0])
+        build_usd_povm(state_set(fig1_states()), weights=[0.4, 0.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_explicit_scaling_must_be_finite(bad):
     with pytest.raises(ParamOutOfRange):
-        build_usd_povm(state_set(fig1_states()), strategy=[bad, 0.1])
+        build_usd_povm(state_set(fig1_states()), weights=[bad, 0.1])
 
 
 def test_explicit_scaling_beyond_the_dual_norm_is_infeasible():
     # 1e308 * ||d_1||^2 overflows; the weight is rejected before the stack is built
     with pytest.raises(InfeasibleScaling) as err:
-        build_usd_povm(state_set(fig1_states()), strategy=[1e308, 0.1])
+        build_usd_povm(state_set(fig1_states()), weights=[1e308, 0.1])
     assert err.value.context["operator"] == 1
     # lambda_i ||d_i||^2 = 1 exactly is feasible: orthonormal states give the projective POVM
-    assert validate_povm(build_usd_povm(state_set(np.eye(3)), strategy=[1.0, 1.0, 1.0])).valid
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ParamOutOfRange):
-        build_usd_povm(state_set(fig1_states()), strategy="optimal")
+    assert validate_povm(build_usd_povm(state_set(np.eye(3)), weights=[1.0, 1.0, 1.0])).valid
 
 
 def test_uniform_max_hits_feasibility_boundary():
@@ -364,6 +358,21 @@ def test_validated_load_makes_one_pass_and_one_eigensolve(monkeypatch):
     assert reports == [1]  # and comes from the public report
 
 
+def test_near_zero_detection_operator_is_not_rank_one():
+    # ||F_1||_F = 1e-10 <= psd_tol: the report, the load and K reconstruction agree
+    p = PovmSet(dim=2, operators=[np.diag([1e-10, 0.0]), np.diag([0.0, 1.0]), np.diag([1.0 - 1e-10, 0.0])])
+    report = validate_povm(p)
+    assert report.valid
+    assert report.rank.tolist() == [0, 1, 1]
+    assert report.rank_one.tolist() == [False, True]
+    with pytest.raises(InvalidPovm) as err:
+        io.povm_from_doc(io.povm_doc(p))
+    assert err.value.context == {"operator": 1}
+    with pytest.raises(RankMismatch, match="is zero") as err:
+        lossy_from_povm(p, computational_basis(2))
+    assert err.value.context == {"operator": 1}
+
+
 def test_state_set_and_build_share_one_svd(monkeypatch):
     m = random_complex(np.random.default_rng(4), 8)
     calls, inverses = record_calls(monkeypatch, "svd"), record_calls(monkeypatch, "inv")
@@ -389,7 +398,8 @@ def block_test_povm(n: int, variant: str) -> PovmSet:
     the last block; ``rank_two`` gives the first operator of the middle block a
     second eigenvalue of 1e-3 of its first, taken from the inconclusive one;
     ``tiny`` moves all but 1e-10 of the last detection operator's norm to the
-    inconclusive one, so its pivot is aligned under the relative bound only."""
+    inconclusive one, so its pivot is aligned under the relative bound only
+    and the zero threshold ``||F_k||_F > psd_tol`` rejects it."""
     rng = np.random.default_rng(n)
     s = block_test_states(n)
     ops = np.array(build_usd_povm(s, [0.5 * s.sv[-1] ** 2] * n).operators)
@@ -435,17 +445,21 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     got = _stack_pass(ops, rows, weights, tol.psd_tol)
     assert np.array_equal(got[0], norms) and np.array_equal(got[1], herm)
     assert np.array_equal(got[2], np.append(defects, np.inf))
-    passed = asked & (defects <= bound)
-    assert np.array_equal(got[3], asked) and np.array_equal(got[4], passed)
+    nonzero = norms[:n] > tol.psd_tol
+    passed = nonzero & asked & (defects <= bound)
+    assert np.array_equal(got[3], nonzero) and np.array_equal(got[4], asked)
+    assert np.array_equal(got[5], passed)
+    assert bool(nonzero.all()) is (variant != "tiny")
 
     # the rank-one rule on the diagonal pivot and on the computational basis,
     # lossy_from_povm's pivot there, against the rule one operator at a time
     diag = np.arange(n)
     for r, w in [(rows, weights), (ops[diag, diag], ops[diag, diag, diag].real)]:
-        reference = [wk > b and np.linalg.norm(f - np.outer(rk.conj(), rk / wk)) <= b
+        reference = [np.linalg.norm(f) > tol.psd_tol and wk > b
+                     and np.linalg.norm(f - np.outer(rk.conj(), rk / wk)) <= b
                      for f, rk, wk, b in zip(ops, r, w, bound)]
         rule = rank_one_rule(ops[:n], r, w)
-        assert np.array_equal(rule[0], norms[:n]) and rule[2].tolist() == reference
+        assert np.array_equal(rule[0], nonzero) and rule[2].tolist() == reference
     assert passed.all() or variant != "clean"
     assert not passed.all() or variant != "rank_two"
 
@@ -459,16 +473,26 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     certified = np.flatnonzero(passed & (weights > tol.psd_tol))  # the rule plus the rank threshold
     assert report.min_eigenvalue[certified].tolist() == (0.0 - defects[certified]).tolist()
 
-    # outcome probabilities of the states behind the POVM
+    # outcome probabilities of the states behind the POVM: the non-Hermitian
+    # part breaks completeness by about 1e-6 in the states' directions
+    # (not at N = 1, where 1e-6j only moves the imaginary part)
     s = block_test_states(n)
     a = np.asarray(s.states)
-    probs = np.clip(np.array([np.sum(a.conj() * (f @ a), axis=0).real for f in ops]).T, 0.0, None)
-    r = usd_report(state_ensemble(s, np.full(n, 1.0 / n)), p)
-    errors = probs[:, :n].copy()
-    np.fill_diagonal(errors, 0.0)
-    assert np.array_equal(r.per_state_success, np.diagonal(probs))
-    assert np.array_equal(r.error_matrix, errors)
-    assert np.array_equal(r.inconclusive_per_state, probs[:, n])
+    probs = np.array([np.sum(a.conj() * (f @ a), axis=0).real for f in ops]).T
+    broken = bool(np.any(probs < -tol.psd_tol) or np.any(np.abs(probs.sum(axis=1) - 1.0) > tol.eq_tol))
+    assert broken is (variant == "non_hermitian" and n > 1)
+    ensemble = state_ensemble(s, np.full(n, 1.0 / n))
+    if broken:
+        with pytest.raises(InvalidPovm):
+            usd_report(ensemble, p)
+    else:
+        probs = np.clip(probs, 0.0, None)
+        r = usd_report(ensemble, p)
+        errors = probs[:, :n].copy()
+        np.fill_diagonal(errors, 0.0)
+        assert np.array_equal(r.per_state_success, np.diagonal(probs))
+        assert np.array_equal(r.error_matrix, errors)
+        assert np.array_equal(r.inconclusive_per_state, probs[:, n])
 
     # loading and K reconstruction reject exactly what the reference rejects
     bad = np.flatnonzero(~passed)
@@ -530,6 +554,20 @@ def test_probabilities_reject_bad_density():
         outcome_probabilities(2.0 * np.eye(2), p)
 
 
+def test_probabilities_reject_a_povm_whose_outcomes_do_not_sum_to_one():
+    p = PovmSet(dim=2, operators=[np.eye(2), np.eye(2), np.zeros((2, 2))])  # sums to 2I
+    with pytest.raises(InvalidPovm) as err:
+        outcome_probabilities(np.eye(2) / 2.0, p)
+    assert err.value.context == {"state": 1, "probability_sum": 2.0}
+
+
+def test_probabilities_negative_beyond_psd_tol_blame_the_povm():
+    p = PovmSet(dim=2, operators=[np.diag([1.5, 0.0]), np.diag([0.0, 1.0]), np.diag([-0.5, 0.0])])
+    with pytest.raises(InvalidPovm) as err:
+        outcome_probabilities(np.diag([1.0, 0.0]), p)
+    assert err.value.context == {"state": 1, "outcome": 3, "probability": -0.5}
+
+
 def test_probability_conservation_random_densities():
     rng = np.random.default_rng(61)
     p = build_usd_povm(random_state_set(rng, 4))
@@ -544,7 +582,7 @@ def test_zero_error_law():
         s = random_state_set(rng, dim)
         p = build_usd_povm(s)
         for j in range(dim):
-            alpha = s.column(j)
+            alpha = s.states[:, j]
             for i in range(dim):
                 if i != j:
                     hit = (alpha.conj() @ np.asarray(p.operators[i]) @ alpha).real

@@ -398,7 +398,8 @@ def test_probability_equivalence_channel_vs_measurement():
         rho = random_density(rng, 3)
         evolved = k @ rho @ k.conj().T
         for i in range(3):
-            lhs = np.trace(evolved @ basis.projector(i)).real
+            psi = basis.psi[:, i]
+            lhs = (psi.conj() @ evolved @ psi).real
             rhs = np.trace(rho @ np.asarray(p.operators[i])).real
             assert abs(lhs - rhs) < 1e-10
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from usd_kit import io
+from usd_kit import duality, io
 from usd_kit.cli import main
 from usd_kit.discrimination import state_ensemble
 from usd_kit.duality import PovmSet, build_usd_povm, state_set
@@ -22,7 +22,7 @@ from usd_kit.equivalence import (
 )
 from usd_kit.errors import InvalidEnsemble, InvalidPovm, ParseError
 
-from helpers import fig1_k, fig1_states, jordan_k, random_complex, random_passive
+from helpers import fig1_k, fig1_states, jordan_k, random_complex, random_passive, record_calls
 
 
 # -- JSON rendering ---------------------------------------------------------
@@ -468,6 +468,20 @@ def test_cli_discriminate_trials_byte_identical(tmp_path, capsys):
     assert first == second
     counts = json.loads(first)["outcomes"]["counts"]
     assert sum(counts[0]) == 100000
+
+
+def test_cli_discriminate_povm_with_trials_validates_once(tmp_path, capsys, monkeypatch):
+    _, ensemble_path = write_fig1_files(tmp_path)
+    povm_path = tmp_path / "povm.json"
+    io.write_json(povm_path, io.povm_doc(build_usd_povm(state_set(fig1_states()))))
+    passes, calls = [], record_calls(monkeypatch, "eigvalsh")
+    stack_pass = duality._stack_pass
+    monkeypatch.setattr(duality, "_stack_pass", lambda *args: passes.append(1) or stack_pass(*args))
+    argv = ["discriminate", "--ensemble", str(ensemble_path), "--povm", str(povm_path), "--trials", "100"]
+    assert main(argv) == 0
+    assert passes == [1]  # the load's validation; sampling reads the probability rule only
+    assert calls == [(1, 2, 2)]
+    capsys.readouterr()
 
 
 def test_cli_discriminate_seed_selects_the_counts(tmp_path, capsys):

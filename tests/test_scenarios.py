@@ -51,7 +51,7 @@ def test_fig1_report_matches_expected():
 def test_fig1_output_amplitude():
     for gamma in (0.1, 0.5, 0.9):
         sc = fig1_scenario(gamma)
-        out = np.asarray(sc.k.k) @ sc.input_states.column(0)
+        out = np.asarray(sc.k.k) @ sc.input_states.states[:, 0]
         assert abs(np.linalg.norm(out) - sc.expected["output_amplitude"]) < 1e-12
         assert abs(abs(out[0]) - sc.expected["output_amplitude"]) < 1e-12
         assert abs(out[1]) < 1e-12
@@ -61,7 +61,7 @@ def test_fig1_near_unit_gamma_limit():
     sc = fig1_scenario(1.0 - 1e-6)
     assert sc.expected["inconclusive"] < 2e-6
     overlap = abs(
-        sc.input_states.column(0).conj() @ sc.input_states.column(1)
+        sc.input_states.states[:, 0].conj() @ sc.input_states.states[:, 1]
     )
     assert overlap < 2e-6
 
@@ -83,7 +83,7 @@ def test_fig1_attains_two_state_overlap_bound():
     for gamma in np.arange(0.1, 1.0, 0.1):
         sc = fig1_scenario(float(gamma))
         report = equal_prior_report(sc)
-        overlap = abs(sc.input_states.column(0).conj() @ sc.input_states.column(1))
+        overlap = abs(sc.input_states.states[:, 0].conj() @ sc.input_states.states[:, 1])
         assert abs(report.total_inconclusive - overlap) < 1e-10
 
 
@@ -119,7 +119,7 @@ def test_fig2_unit_length_closed_form():
 def test_fig2_output_structure_over_sweep(z):
     sc = fig2_scenario(z)
     u = np.asarray(sc.full_unitary)
-    ins = [np.append(sc.input_states.column(i), 0.0) for i in range(2)]
+    ins = [np.append(sc.input_states.states[:, i], 0.0) for i in range(2)]
     outs = [u @ v for v in ins]
     # exclusive ports: no cross component
     assert abs(outs[0][1]) < 1e-10
@@ -142,7 +142,7 @@ def test_fig2_beta_shrinks_as_overlap_grows():
     pairs = []
     for z in Z_SWEEP:
         sc = fig2_scenario(z)
-        overlap = abs(sc.input_states.column(0).conj() @ sc.input_states.column(1))
+        overlap = abs(sc.input_states.states[:, 0].conj() @ sc.input_states.states[:, 1])
         pairs.append((overlap, sc.expected["beta_magnitude"]))
     pairs.sort()
     betas = [beta for _, beta in pairs]
@@ -169,7 +169,7 @@ def test_fig2_report_matches_expected():
 def test_fig2_report_matches_expected_at_large_z(z):
     sc = fig2_scenario(z)
     report = equal_prior_report(sc)
-    amplitude = abs(np.asarray(sc.full_unitary)[0, :2] @ sc.input_states.column(0))
+    amplitude = abs(np.asarray(sc.full_unitary)[0, :2] @ sc.input_states.states[:, 0])
     assert abs(report.total_success - sc.expected["success_per_state"]) <= 1e-10
     assert abs(report.total_inconclusive - sc.expected["inconclusive"]) <= 1e-10
     assert abs(amplitude - sc.expected["beta_magnitude"]) <= 1e-10
@@ -195,7 +195,7 @@ def test_embedding_ancilla_mass_equals_inconclusive():
         u = np.asarray(sc.full_unitary)
         mass = 0.0
         for i in range(2):
-            padded = np.append(sc.input_states.column(i), [0.0, 0.0])
+            padded = np.append(sc.input_states.states[:, i], [0.0, 0.0])
             out = u @ padded
             mass += 0.5 * float(np.sum(np.abs(out[2:]) ** 2))
         assert abs(mass - sc.expected["ancilla_mass"]) < 1e-10
