@@ -219,10 +219,126 @@ GOLDEN_STDOUT = {
         '{"duals": {"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
         '"residual_matrix": [[0, 0], [0, 0]], "max_residual": 0}\n'
     ),
+    ("povm-from-k", False): (
+        "wrote                  out.json\n"
+        "dim                    2\n"
+        "spectral_norm          0.707106781187\n"
+        "completeness_residual  0\n"
+        "valid                  true\n"
+    ),
+    ("povm-from-k", True): (
+        '{"out": "out.json", "dim": 2, "spectral_norm": 0.70710678118654757, "validation": {"operators": '
+        '[{"hermiticity_residual": 0, "min_eigenvalue": 0, "rank": 1}, '
+        '{"hermiticity_residual": 0, "min_eigenvalue": 0, "rank": 1}, '
+        '{"hermiticity_residual": 0, "min_eigenvalue": 0.5, "rank": 2}], '
+        '"completeness_residual": 0, "valid": true}}\n'
+    ),
+    ("k-from-povm", False): "wrote          out.json\ndim            2\nspectral_norm  1\npassive        true\n",
+    ("k-from-povm", True): '{"out": "out.json", "dim": 2, "spectral_norm": 1, "passive": true}\n',
+    ("embed", False): "wrote               out.json\ndim                 4\nunitarity_residual  6.75322301446e-16\n",
+    ("embed", True): '{"out": "out.json", "dim": 4, "unitarity_residual": 6.7532230144642595e-16}\n',
+    ("discriminate", False): (
+        "state   p(success)      p(inconclusive)\n"
+        "    1   0.25            0.5\n"
+        "    2   0.25            0.5\n"
+        "total_success       0.25\n"
+        "total_error         0.25\n"
+        "total_inconclusive  0.5\n"
+    ),
+    ("discriminate", True): (
+        '{"report": {"per_state_success": [0.25, 0.25], "error_matrix": [[0, 0.25], [0.25, 0]], '
+        '"inconclusive_per_state": [0.5, 0.5], "total_success": 0.25, "total_error": 0.25, '
+        '"total_inconclusive": 0.5}}\n'
+    ),
+    ("discriminate-povm", False): (
+        "state   p(success)      p(inconclusive)\n"
+        "    1   1               0\n"
+        "    2   0.25            0.75\n"
+        "total_success       0.625\n"
+        "total_error         0\n"
+        "total_inconclusive  0.375\n"
+    ),
+    ("discriminate-povm", True): (
+        '{"report": {"per_state_success": [1, 0.25], "error_matrix": [[0, 0], [0, 0]], '
+        '"inconclusive_per_state": [0, 0.75], "total_success": 0.625, "total_error": 0, '
+        '"total_inconclusive": 0.375}}\n'
+    ),
+    ("discriminate-trials", False): (
+        "state   p(success)      p(inconclusive)\n"
+        "    1   0.25            0.5\n"
+        "    2   0.25            0.5\n"
+        "total_success       0.25\n"
+        "total_error         0.25\n"
+        "total_inconclusive  0.5\n"
+        "counts (100 trials/state, seed 3):\n"
+        "  state 1: [32, 17, 51]\n"
+        "  state 2: [24, 29, 47]\n"
+    ),
+    ("discriminate-trials", True): (
+        '{"report": {"per_state_success": [0.25, 0.25], "error_matrix": [[0, 0.25], [0.25, 0]], '
+        '"inconclusive_per_state": [0.5, 0.5], "total_success": 0.25, "total_error": 0.25, '
+        '"total_inconclusive": 0.5}, "outcomes": {"trials_per_state": 100, "seed": 3, '
+        '"counts": [[32, 17, 51], [24, 29, 47]]}}\n'
+    ),
+    ("example", False): (
+        "scenario                    fig1\n"
+        "param                       0.5\n"
+        "expected.output_amplitude   0.632455532034\n"
+        "expected.success_per_state  0.4\n"
+        "expected.inconclusive       0.6\n"
+        "expected.overlap            0.6\n"
+        "spectral_norm               1\n"
+        "state   p(success)      p(inconclusive)\n"
+        "    1   0.4             0.6\n"
+        "    2   0.4             0.6\n"
+        "total_success       0.4\n"
+        "total_error         7.70371977755e-33\n"
+        "total_inconclusive  0.6\n"
+    ),
+    ("example", True): (
+        '{"name": "fig1", "param": 0.5, "expected": {"output_amplitude": 0.63245553203367588, '
+        '"success_per_state": 0.40000000000000002, "inconclusive": 0.59999999999999998, '
+        '"overlap": 0.59999999999999998}, "spectral_norm": 1, "report": {"per_state_success": '
+        '[0.39999999999999991, 0.39999999999999986], "error_matrix": [[0, 3.0814879110195774e-33], '
+        '[1.2325951644078309e-32, 0]], "inconclusive_per_state": [0.6000000000000002, 0.6000000000000002], '
+        '"total_success": 0.39999999999999991, "total_error": 7.7037197775489434e-33, '
+        '"total_inconclusive": 0.6000000000000002}}\n'
+    ),
+}
+
+# Files written by the subcommands of GOLDEN_ARGV, text and --json alike.
+GOLDEN_FILES = {
+    "povm-from-k": (
+        '{"dim": 2, "operators": [[[[0.25, 0], [0.25, 0]], [[0.25, 0], [0.25, 0]]], '
+        '[[[0.25, 0], [-0.25, 0]], [[-0.25, -0.0], [0.25, 0]]], [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}\n'
+    ),
+    "k-from-povm": (
+        '{"rows": 2, "cols": 2, "data": [[[0.87758256189037276, 0.47942553860420301], [0, 0]], '
+        '[[0, 0], [0.48445621085532237, -0.12370197962726147]]]}\n'
+    ),
+    "embed": (
+        '{"rows": 4, "cols": 4, "data": [[[0.5, 0], [0.5, 0], [0.70710678118654724, 0], '
+        '[1.6653345369377348e-16, 0]], [[-0.5, 0], [0.5, 0], [1.6653345369377348e-16, 0], '
+        '[0.70710678118654746, 0]], [[0.70710678118654746, 0], [0, 0], [-0.5, 0], [0.5, 0]], '
+        '[[0, 0], [0.70710678118654757, 0], [-0.5, 0], [-0.5, 0]]]}\n'
+    ),
+}
+
+# Exact-binary N=2 inputs: K = [[1, 1], [-1, 1]] / 2, the states e_1 and e_2,
+# and the rank-one POVM diag(1, 0), diag(0, 1/4), diag(0, 3/4).
+GOLDEN_ARGV = {
+    "povm-from-k": ["povm-from-k", "--k", "k.json", "--out", "out.json"],
+    "k-from-povm": ["k-from-povm", "--povm", "povm.json", "--phases=0.5,-0.25", "--out", "out.json"],
+    "embed": ["embed", "--k", "k.json", "--out", "out.json"],
+    "discriminate": ["discriminate", "--ensemble", "ensemble.json", "--k", "k.json"],
+    "discriminate-povm": ["discriminate", "--ensemble", "ensemble.json", "--povm", "povm.json"],
+    "discriminate-trials": ["discriminate", "--ensemble", "ensemble.json", "--k", "k.json",
+                            "--trials", "100", "--seed", "3"],
+    "example": ["example", "--name", "fig1", "--param", "0.5"],
 }
 
 
-@pytest.mark.parametrize("command, as_json", sorted(GOLDEN_STDOUT))
+@pytest.mark.parametrize("command, as_json", [key for key in sorted(GOLDEN_STDOUT) if key[0] in ("validate", "dual")])
 def test_cli_validate_and_dual_stdout_is_pinned(tmp_path, capsys, command, as_json):
     povm_path, states_path = tmp_path / "povm.json", tmp_path / "states.json"
     ops = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))], dtype=complex)
@@ -232,6 +348,20 @@ def test_cli_validate_and_dual_stdout_is_pinned(tmp_path, capsys, command, as_js
     assert main(argv + ["--json"] * as_json) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (GOLDEN_STDOUT[command, as_json], "")
+
+
+@pytest.mark.parametrize("command, as_json", [key for key in sorted(GOLDEN_STDOUT) if key[0] in GOLDEN_ARGV])
+def test_cli_subcommand_stdout_and_files_are_pinned(tmp_path, capsys, monkeypatch, command, as_json):
+    monkeypatch.chdir(tmp_path)
+    ops = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 0.25]), np.diag([0.0, 0.75])], dtype=complex)
+    io.write_json("k.json", io.matrix_doc(np.array([[0.5, 0.5], [-0.5, 0.5]])))
+    io.write_json("ensemble.json", io.ensemble_doc(state_ensemble(state_set(np.eye(2)), [0.5, 0.5])))
+    io.write_json("povm.json", io.povm_doc(PovmSet(dim=2, operators=ops)))
+    assert main(GOLDEN_ARGV[command] + ["--json"] * as_json) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (GOLDEN_STDOUT[command, as_json], "")
+    if command in GOLDEN_FILES:
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == GOLDEN_FILES[command]
 
 
 def test_cli_povm_from_k_and_validate(tmp_path, capsys):
