@@ -58,48 +58,9 @@ from .scenarios import (
     fig2_scenario,
 )
 
-__all__ = [
-    "DiscriminationReport",
-    "LossyEvolution",
-    "OutcomeStats",
-    "PovmSet",
-    "ProjectiveBasis",
-    "RandomSource",
-    "Scenario",
-    "StateEnsemble",
-    "StateSet",
-    "ToleranceContext",
-    "ValidationReport",
-    "build_scenario",
-    "build_usd_povm",
-    "computational_basis",
-    "density_matrix",
-    "dilate_unitary",
-    "discriminable_states",
-    "dual_set",
-    "dyadic_form",
-    "fig1_as_embedding",
-    "fig1_scenario",
-    "fig2_scenario",
-    "inconclusive_rank",
-    "lossy_from_povm",
-    "make_lossy",
-    "normalize_passive",
-    "outcome_probabilities",
-    "post_measurement_state",
-    "povm_from_lossy",
-    "projective_basis",
-    "psd_sqrt",
-    "reduced_evolution",
-    "sample_outcomes",
-    "singular_values",
-    "spectral_norm",
-    "state_ensemble",
-    "state_set",
-    "subspace_reduce",
-    "unitary_exp",
-    "usd_report",
-    "validate_povm",
-]
+# The public names are exactly the classes and functions imported above.
+__all__ = sorted(
+    name for name, value in globals().items() if getattr(value, "__module__", "").startswith(__name__ + ".")
+)
 
 __version__ = "0.1.0"

@@ -77,6 +77,14 @@ def _print_pairs(pairs: list[tuple[str, str]]) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
+def _emit(args, doc: dict, pairs: list[tuple[str, str]]) -> None:
+    """Print ``doc`` as JSON with ``--json``, else the aligned ``pairs``."""
+    if args.json:
+        print(io.render_json(doc))
+    else:
+        _print_pairs(pairs)
+
+
 def _matrix_lines(m: np.ndarray, label: str) -> list[str]:
     lines = [f"{label} ({m.shape[0]}x{m.shape[1]}):"]
     for i in range(m.shape[0]):
@@ -158,18 +166,9 @@ def _cmd_povm_from_k(args, ctx: ToleranceContext) -> int:
         "spectral_norm": float(le.sv[0]),
         "validation": _validation_doc(report),
     }
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        _print_pairs(
-            [
-                ("wrote", str(args.out)),
-                ("dim", str(povm.dim)),
-                ("spectral_norm", _fmt(le.sv[0])),
-                ("completeness_residual", _fmt(report.completeness_residual)),
-                ("valid", str(report.valid).lower()),
-            ]
-        )
+    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(povm.dim)), ("spectral_norm", _fmt(le.sv[0])),
+                      ("completeness_residual", _fmt(report.completeness_residual)),
+                      ("valid", str(report.valid).lower())])
     return 0
 
 
@@ -184,23 +183,9 @@ def _cmd_k_from_povm(args, ctx: ToleranceContext) -> int:
             raise ParseError(f"cannot parse --phases {args.phases!r}") from exc
     le = lossy_from_povm(povm, basis, phases, ctx)
     io.write_json(args.out, io.matrix_doc(le.k))
-    doc = {
-        "out": str(args.out),
-        "dim": le.dim,
-        "spectral_norm": float(le.sv[0]),
-        "passive": le.passive,
-    }
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        _print_pairs(
-            [
-                ("wrote", str(args.out)),
-                ("dim", str(le.dim)),
-                ("spectral_norm", _fmt(le.sv[0])),
-                ("passive", str(le.passive).lower()),
-            ]
-        )
+    doc = {"out": str(args.out), "dim": le.dim, "spectral_norm": float(le.sv[0]), "passive": le.passive}
+    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(le.dim)), ("spectral_norm", _fmt(le.sv[0])),
+                      ("passive", str(le.passive).lower())])
     return 0
 
 
@@ -236,21 +221,8 @@ def _cmd_embed(args, ctx: ToleranceContext) -> int:
     u = dilate_unitary(le)
     residual = linalg.check_unitary(u, ctx, "dilation")
     io.write_json(args.out, io.matrix_doc(u))
-    doc = {
-        "out": str(args.out),
-        "dim": u.shape[0],
-        "unitarity_residual": float(residual),
-    }
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        _print_pairs(
-            [
-                ("wrote", str(args.out)),
-                ("dim", str(u.shape[0])),
-                ("unitarity_residual", _fmt(residual)),
-            ]
-        )
+    doc = {"out": str(args.out), "dim": u.shape[0], "unitarity_residual": float(residual)}
+    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(u.shape[0])), ("unitarity_residual", _fmt(residual))])
     return 0
 
 
@@ -322,14 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="dual vectors of an ensemble's states")
     p.add_argument("--states", required=True, help="ensemble JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_dual)
 
     p = sub.add_parser("povm-from-k", help="POVM induced by a lossy operator")
     p.add_argument("--k", required=True, help="matrix JSON file")
     p.add_argument("--basis", help="measurement basis matrix JSON file")
     p.add_argument("--out", required=True, help="output POVM JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_povm_from_k)
 
     p = sub.add_parser("k-from-povm", help="lossy operator realizing a POVM")
@@ -337,18 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", help="measurement basis matrix JSON file")
     p.add_argument("--phases", help="comma separated phases, one per state")
     p.add_argument("--out", required=True, help="output matrix JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_k_from_povm)
 
     p = sub.add_parser("validate", help="diagnostics for a POVM file")
     p.add_argument("--povm", required=True, help="POVM JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("embed", help="embed a passive operator in a unitary")
     p.add_argument("--k", required=True, help="matrix JSON file")
     p.add_argument("--out", required=True, help="output matrix JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("discriminate", help="discrimination report for an ensemble")
@@ -358,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", help="matrix JSON file (computational basis)")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per prepared state")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_discriminate)
 
     p = sub.add_parser("example", help="run a named scenario")
     p.add_argument("--name", required=True, choices=["fig1", "fig2", "fig1-embed"])
     p.add_argument("--param", required=True, type=float, help="gamma for fig1 variants, z for fig2")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_example)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -140,15 +140,20 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext
         raise DimensionMismatch(
             f"ensemble dimension {e.dim} does not match POVM dimension {p.dim}"
         )
-    a, ops = e.states.states, p.operators
+    a, ops = e.states.states, p.stack
     n, count = a.shape
     bra = a.conj()
-    # probs[i, j] = <alpha_i|F_j|alpha_i>, one block of operators at a time as
-    # one (b N, N) @ (N, count) product, so no temporary is larger than
-    # BLOCK_BYTES (256 KiB) however large the POVM.
-    probs = np.concatenate(
-        [np.sum(bra * (ops[s].reshape(-1, n) @ a).reshape(-1, n, count), axis=1).real for s in _blocks(ops)]
-    ).T
+    if ops is None:  # w_j |<v_j|a_i>|^2 and <a_i|F_{N+1}|a_i>
+        hits = np.abs(p.vectors.conj() @ a) ** 2
+        probs = np.concatenate([hits if p.weights is None else p.weights[:, None] * hits,
+                                (bra * (p.inconclusive @ a)).sum(axis=0, keepdims=True).real]).T
+    else:
+        # probs[i, j] = <alpha_i|F_j|alpha_i>, one block of operators at a time as
+        # one (b N, N) @ (N, count) product, so no temporary is larger than
+        # BLOCK_BYTES (256 KiB) however large the POVM.
+        probs = np.concatenate(
+            [np.sum(bra * (ops[s].reshape(-1, n) @ a).reshape(-1, n, count), axis=1).real for s in _blocks(ops)]
+        ).T
     return _probability_rule(probs, (bra * a).real.sum(axis=0), ctx)
 
 
@@ -158,6 +163,8 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     Raises ``DimensionMismatch`` unless there is one detection operator per
     state, and ``InvalidPovm`` when the outcome probabilities break
     :func:`_probability_rule` under ``ctx``, which a valid POVM never does.
+    A factored POVM gives them as ``w_j |<v_j|a_i>|^2`` and ``<a_i|F_{N+1}|a_i>``;
+    a dense stack is read in blocks of at most ``BLOCK_BYTES`` (256 KiB).
     """
     if e.count != p.dim:
         raise DimensionMismatch(
@@ -172,8 +179,8 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     inconclusive = probs[:, n]
     weights = np.asarray(e.priors)
     return DiscriminationReport(
-        per_state_success=linalg.frozen(success),
-        error_matrix=linalg.frozen(errors),
+        per_state_success=linalg.freeze(success),
+        error_matrix=linalg.freeze(errors),
         inconclusive_per_state=linalg.frozen(inconclusive),
         total_success=float(weights @ success),
         total_error=float(weights @ errors.sum(axis=1)),
@@ -220,7 +227,11 @@ def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) 
         raise DimensionMismatch(
             f"density matrix dimension {m.shape[0]} does not match POVM dimension {p.dim}"
         )
-    probs = np.einsum("ij,kji->k", m, p.operators).real
+    if p.stack is None:  # w_j <v_j|rho|v_j> and tr(rho F_{N+1})
+        hits = np.sum((p.vectors.conj() @ m) * p.vectors, axis=1).real
+        probs = np.append(hits if p.weights is None else p.weights * hits, np.einsum("ij,ji", m, p.inconclusive).real)
+    else:
+        probs = np.einsum("ij,kji->k", m, p.stack).real
     return _probability_rule(probs[None], np.trace(m).real[None], ctx)[0]
 
 

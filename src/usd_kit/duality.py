@@ -57,37 +57,72 @@ class StateSet:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PovmSet:
-    """Ordered positive operators ``F_1 .. F_{N+1}`` summing to identity.
+    """Ordered positive operators ``F_1 .. F_{N+1}`` summing to identity: N
+    rank-one detection operators and ``inconclusive``, ``F_{N+1}``.
 
-    ``operators`` is one read-only complex ``(N+1, N, N)`` array, stacked
-    from any sequence of N+1 ``N x N`` matrices with ``N >= 1``
-    (``DimensionMismatch`` otherwise) and finite entries (``InvalidMatrix``
-    otherwise); a read-only complex array is kept, not copied.  The first
-    N operators are the rank-one detection operators; the last one
-    collects the inconclusive outcome.
+    ``PovmSet(dim, operators)`` keeps a dense stack: any sequence of N+1
+    ``N x N`` matrices with ``N >= 1`` (``DimensionMismatch`` otherwise) and
+    finite entries (``InvalidMatrix`` otherwise), as one read-only complex
+    ``(N+1, N, N)`` array ``stack`` (a read-only complex array is not copied).
+    :func:`rank_one_povm` builds the factored form, ``stack = None``: the rows
+    ``vectors`` ``v_i`` and ``weights`` ``w_i`` (``None`` when every ``w_i`` is 1)
+    of ``F_i = w_i |v_i><v_i|``, and ``inconclusive``.  ``operators`` is the
+    read-only dense stack; a factored POVM builds it anew on each access.
     """
 
     dim: int
-    operators: np.ndarray
+    vectors: np.ndarray | None
+    weights: np.ndarray | None
+    inconclusive: np.ndarray
+    stack: np.ndarray | None
 
-    def __post_init__(self):
+    def __init__(self, dim: int, operators):
         try:
-            ops = np.asarray(self.operators, dtype=complex)
+            ops = np.asarray(operators, dtype=complex)
         except ValueError:  # a ragged sequence of matrices
             ops = None
-        if self.dim < 1:
-            raise DimensionMismatch(f"POVM dimension must be at least 1, got {self.dim}")
-        if ops is None or ops.shape != (self.dim + 1, self.dim, self.dim):
-            raise DimensionMismatch(f"expected {self.dim + 1} operators of size {self.dim}x{self.dim}")
+        if dim < 1:
+            raise DimensionMismatch(f"POVM dimension must be at least 1, got {dim}")
+        if ops is None or ops.shape != (dim + 1, dim, dim):
+            raise DimensionMismatch(f"expected {dim + 1} operators of size {dim}x{dim}")
         if not np.isfinite(ops).all():
             raise InvalidMatrix("POVM operators contain NaN or Inf entries")
-        object.__setattr__(self, "operators", linalg.frozen(ops) if ops.flags.writeable else ops)
+        ops = linalg.frozen(ops) if ops.flags.writeable else ops
+        _fill(self, dim=dim, vectors=None, weights=None, inconclusive=ops[-1], stack=ops)
 
     @property
-    def inconclusive(self) -> np.ndarray:
-        return self.operators[-1]
+    def operators(self) -> np.ndarray:
+        return _dyad_stack(self) if self.stack is None else self.stack
+
+
+def _fill(p: PovmSet, **fields) -> PovmSet:
+    for name, value in fields.items():
+        object.__setattr__(p, name, value)
+    return p
+
+
+def _dyad_stack(p: PovmSet) -> np.ndarray:
+    """The read-only stack of a factored POVM: ``F_i = w_i |v_i><v_i|``, then ``F_{N+1}``."""
+    v, n = p.vectors, p.dim
+    ops = np.empty((n + 1, n, n), dtype=complex)
+    np.multiply(v[:, :, None], v.conj()[:, None, :], out=ops[:n])
+    if p.weights is not None:
+        ops[:n] *= p.weights[:, None, None]
+    ops[n] = p.inconclusive
+    return linalg.freeze(ops)
+
+
+def _dyad_sum(vectors: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """``sum_i w_i |v_i><v_i| = (V^T w) V^*`` in one product."""
+    return (vectors.T if weights is None else vectors.T * weights) @ vectors.conj()
+
+
+def _dyad_norms(p: PovmSet) -> np.ndarray:
+    """``||F_i||_F = w_i ||v_i||^2`` of the detection operators of a factored POVM."""
+    norms = np.sum(np.abs(p.vectors) ** 2, axis=1)
+    return norms if p.weights is None else p.weights * norms
 
 
 @dataclass(frozen=True)
@@ -153,26 +188,17 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
         )
     u, sv, vh = s.svd
     linalg.check_invertible(sv, ctx)
-    return linalg.frozen((u / sv) @ vh)
+    return linalg.freeze((u / sv) @ vh)
 
 
-def rank_one_povm(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSet:
-    """Fill the empty ``(N+1, N, N)`` stack ``ops`` with ``F_i = w_i |v_i><v_i|``
-    for the rows ``v_i`` of ``rows`` (``w_i = 1`` without ``weights``) and
-    the completion ``I - sum_i F_i``; freeze it and wrap it.
-
-    Callers allocate ``ops`` before their own temporaries, which would
-    otherwise split the heap block a freed POVM of the same size left, so
-    that a pipeline of N=64 POVMs peaks about one stack higher in RSS.
+def rank_one_povm(rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSet:
+    """The factored POVM ``F_i = w_i |v_i><v_i|`` of the rows ``v_i`` of ``rows``
+    (``w_i = 1`` without ``weights``), completed by ``I - (V^T w) V^*``,
+    Hermitian-symmetrized.  Keeps ``rows`` and ``weights``: they must be read-only.
     """
-    n = rows.shape[1]
-    np.multiply(rows[:, :, None], rows.conj()[:, None, :], out=ops[:n])
-    if weights is not None:
-        ops[:n] *= weights[:, None, None]
-    completion = np.eye(n) - ops[:n].sum(axis=0)
-    ops[n] = (completion + completion.conj().T) / 2.0
-    ops.setflags(write=False)
-    return PovmSet(dim=n, operators=ops)
+    completion = np.eye(rows.shape[1]) - _dyad_sum(rows, weights)
+    return _fill(object.__new__(PovmSet), dim=rows.shape[1], vectors=rows, weights=weights, stack=None,
+                 inconclusive=linalg.freeze((completion + completion.conj().T) / 2.0))
 
 
 def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TOL) -> PovmSet:
@@ -183,7 +209,8 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
     inconclusive operator positive, in closed form: from one SVD
     ``A = U S V^dag``, the duals give ``I - lambda D D^dag = U (I - lambda S^{-2}) U^dag``,
     positive exactly when ``lambda <= sigma_min(A)^2`` and, at that weight,
-    to round-off below ``cond_max``.
+    to round-off below ``cond_max``.  The POVM is factored (:func:`rank_one_povm`):
+    the duals as ``vectors``, the ``lambda_i`` as ``weights`` and the completion.
 
     Raises
     ------
@@ -194,12 +221,11 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
         needs ``lambda_i ||d_i||^2 <= 1``, and such a weight could overflow.
     """
     n = s.dim
-    ops = np.empty((n + 1, n, n), dtype=complex)
     duals = dual_set(s, ctx)
     if weights is None:
         lambdas = np.full(n, s.sv[-1] ** 2)
     else:
-        lambdas = np.asarray(weights, dtype=float)
+        lambdas = np.array(weights, dtype=float)  # a copy: the POVM keeps it
         if lambdas.shape != (n,):
             raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}")
         if not np.all((lambdas > 0.0) & np.isfinite(lambdas)):
@@ -214,7 +240,7 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
                 weight=float(lambdas[bad[0]]),
                 limit=float(limit[bad[0]]),
             )
-    p = rank_one_povm(ops, duals.T, lambdas)
+    p = rank_one_povm(duals.T, linalg.freeze(lambdas))
     if weights is not None:
         min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
         if min_eig < -ctx.psd_tol:
@@ -256,28 +282,32 @@ def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol:
 
     Returns, for each operator ``F_k``, ``||F_k||_F``, the Hermiticity
     residual ``||F_k - F_k^dag||_F`` and the pivot defect
-    ``d_k = ||F_k - r_k^dag r_k / w_k||_F``, then, for the first ``len(rows)``
-    operators, the :func:`rank_one_rule` verdicts under ``b_k = psd_tol * min(1, ||F_k||_F)``:
-    nonzero, ``||F_k||_F > psd_tol``; aligned, ``w_k > b_k``; and rank one,
-    nonzero and aligned with ``d_k <= b_k``.  The defect is formed only where
-    the pivot is aligned; it is ``inf`` elsewhere, and no other ``w_k`` is divided by.
+    ``d_k = ||F_k - r_k^dag r_k / w_k||_F``, then the :func:`rank_one_rule`
+    verdicts of the first ``len(rows)`` operators.  The defect is formed only
+    where the pivot is aligned; it is ``inf`` elsewhere, and no other ``w_k`` is divided by.
     """
     norms, herm, defects = np.empty(len(ops)), np.empty(len(ops)), np.full(len(ops), np.inf)
-    bounds = np.empty(len(weights))
     for s in _blocks(ops):
         x = ops[s]
         norms[s] = _norms(x)
         t = x.transpose(0, 2, 1).copy()
         herm[s] = _norms(np.subtract(x, np.conjugate(t, out=t), out=t))
         w = weights[s]  # shorter than the block where the pivoted operators end
-        bounds[s] = psd_tol * np.minimum(1.0, norms[s][: len(w)])
-        k = np.flatnonzero(w > bounds[s])
+        k = np.flatnonzero(w > psd_tol * np.minimum(1.0, norms[s][: len(w)]))
         if k.size:
             r = rows[s][k]
             d = r.conj()[:, :, None] * (r / w[k, None])[:, None, :]
             defects[k + s.start] = _norms(np.subtract(x if k.size == len(x) else x[k], d, out=d))
-    nonzero, aligned = norms[: len(bounds)] > psd_tol, weights > bounds
-    return norms, herm, defects, nonzero, aligned, nonzero & aligned & (defects[: len(bounds)] <= bounds)
+    m = len(weights)
+    return norms, herm, defects, *_rank_one_verdicts(norms[:m], weights, defects[:m], psd_tol)
+
+
+def _rank_one_verdicts(norms, weights, defects, psd_tol: float):
+    """The :func:`rank_one_rule` verdicts ``(nonzero, aligned, rank_one)`` from the
+    norms ``||F_k||_F``, pivot weights ``w_k`` and defects ``d_k``."""
+    bounds = psd_tol * np.minimum(1.0, norms)
+    nonzero, aligned = norms > psd_tol, weights > bounds
+    return nonzero, aligned, nonzero & aligned & (defects <= bounds)
 
 
 def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL):
@@ -321,31 +351,46 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     one pass over the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB).
     The inconclusive operator and every uncertified operator share one
     ``eigvalsh`` call and report exact eigenvalue diagnostics.
+
+    A factored POVM (:func:`rank_one_povm`) is certified from its factors,
+    with no stack.  Each ``F_k = w_k |v_k><v_k|`` is exactly Hermitian and
+    positive, rank one exactly when ``||F_k||_F = w_k ||v_k||^2 > psd_tol``, so
+    it reports residual 0, ``min_eigenvalue`` 0 (the bound ``-d_k`` with
+    ``d_k = 0``) and ``rank_one`` equal to that rank.  The symmetrized
+    completion reports residual 0 and its ``eigvalsh``; the completeness
+    residual is ``||(V^T w) V^* + F_{N+1} - I||_F``, from one product.
     """
-    ops, n = p.operators, p.dim
-    rows, weights = diagonal_pivot(ops[:n])
-    norms, herm, defects, _, _, rank_one = _stack_pass(ops, rows, weights, ctx.psd_tol)
-    rest = np.flatnonzero(~np.append(rank_one & (weights > ctx.psd_tol), False))
-    # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
-    # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
-    # so only a stack that breaks the rule pays for symmetrizing what is eigensolved.
-    hermitian = bool(np.all(linalg.hermitian_rule(herm, norms, ctx)))
-    sub = ops[rest]
-    if not hermitian:
-        sub = (sub + sub.conj().transpose(0, 2, 1)) / 2.0
-    w = np.linalg.eigvalsh(sub)
-    min_eig = 0.0 - defects  # 0.0 - d keeps an exact dyad's bound at +0.0
-    min_eig[rest] = w[:, 0]
-    ranks = np.ones(n + 1, dtype=int)
-    ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
-    completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
-    for a in (herm, min_eig, ranks, rank_one):  # fresh arrays, frozen in place
-        a.setflags(write=False)
+    n = p.dim
+    if p.stack is None:
+        rank_one = _dyad_norms(p) > ctx.psd_tol
+        w = np.linalg.eigvalsh(p.inconclusive)
+        herm, hermitian = np.zeros(n + 1), True
+        min_eig = np.append(np.zeros(n), w[0])
+        ranks = np.append(rank_one, np.count_nonzero(w > ctx.psd_tol)).astype(int)
+        completeness = linalg.frobenius(_dyad_sum(p.vectors, p.weights) + p.inconclusive - np.eye(n))
+    else:
+        ops = p.stack
+        rows, weights = diagonal_pivot(ops[:n])
+        norms, herm, defects, _, _, rank_one = _stack_pass(ops, rows, weights, ctx.psd_tol)
+        rest = np.flatnonzero(~np.append(rank_one & (weights > ctx.psd_tol), False))
+        # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
+        # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
+        # so only a stack that breaks the rule pays for symmetrizing what is eigensolved.
+        hermitian = bool(np.all(linalg.hermitian_rule(herm, norms, ctx)))
+        sub = ops[rest]
+        if not hermitian:
+            sub = (sub + sub.conj().transpose(0, 2, 1)) / 2.0
+        w = np.linalg.eigvalsh(sub)
+        min_eig = 0.0 - defects  # 0.0 - d keeps an exact dyad's bound at +0.0
+        min_eig[rest] = w[:, 0]
+        ranks = np.ones(n + 1, dtype=int)
+        ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
+        completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
     return ValidationReport(
-        hermiticity_residual=herm,
-        min_eigenvalue=min_eig,
-        rank=ranks,
-        rank_one=rank_one,
+        hermiticity_residual=linalg.freeze(herm),
+        min_eigenvalue=linalg.freeze(min_eig),
+        rank=linalg.freeze(ranks),
+        rank_one=linalg.freeze(rank_one),
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, rank_one_povm, rank_one_rule, state_set
+from .duality import PovmSet, StateSet, _dyad_norms, _rank_one_verdicts, rank_one_povm, rank_one_rule, state_set
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
@@ -76,15 +76,16 @@ def _passive(top: float, ctx: ToleranceContext) -> bool:
     return bool(top <= 1.0 + ctx.eq_tol)
 
 
-def _lossy(k: np.ndarray, svd, ctx: ToleranceContext) -> LossyEvolution:
-    """Freeze ``k`` with its SVD and passiveness."""
-    return LossyEvolution(k=linalg.frozen(k), svd=svd, passive=_passive(svd[1][0], ctx))
+def _lossy(k: np.ndarray, ctx: ToleranceContext, svd=None) -> LossyEvolution:
+    """Wrap a fresh ``k``, made read-only in place, with its SVD (taken when not
+    given) and passiveness."""
+    svd = linalg.thin_svd(k) if svd is None else svd
+    return LossyEvolution(k=linalg.freeze(k), svd=svd, passive=_passive(svd[1][0], ctx))
 
 
 def make_lossy(k, ctx: ToleranceContext = DEFAULT_TOL) -> LossyEvolution:
-    """Wrap a square operator with its one SVD and passiveness."""
-    km = linalg.require_square(k, "evolution operator")
-    return _lossy(km, linalg.thin_svd(km), ctx)
+    """Wrap a square operator, copied, with its one SVD and passiveness."""
+    return _lossy(linalg.frozen(linalg.require_square(k, "evolution operator")), ctx)
 
 
 def normalize_passive(
@@ -119,7 +120,7 @@ def normalize_passive(
         )
     u, s, vh = le.svd
     k = linalg.as_matrix(le.k / scale, "evolution operator")
-    return _lossy(k, (u, linalg.frozen(s / scale), vh), ctx)
+    return _lossy(k, ctx, (u, linalg.freeze(s / scale), vh))
 
 
 def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
@@ -128,6 +129,8 @@ def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
     ``F_i`` is the dyad of ``K^dag psi_i`` (exactly Hermitian and rank at
     most one by construction); the inconclusive operator is
     ``I - sum_i F_i = I - K^dag K``, positive precisely because K is passive.
+    The result is factored (:func:`duality.rank_one_povm`): the rows
+    ``K^dag psi_i`` with unit weights and the completion.
     """
     if not le.passive:
         raise NotPassive(
@@ -139,8 +142,7 @@ def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
         raise DimensionMismatch(
             f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
         )
-    ops = np.empty((le.dim + 1, le.dim, le.dim), dtype=complex)
-    return rank_one_povm(ops, (np.asarray(le.k).conj().T @ basis.psi).T)
+    return rank_one_povm(linalg.freeze((np.asarray(le.k).conj().T @ basis.psi).T))
 
 
 def lossy_from_povm(
@@ -157,6 +159,9 @@ def lossy_from_povm(
     expression.  As ``K^dag Pi_i K = r_i^dag r_i / w_i``, the
     :func:`duality.rank_one_rule` pivoted on ``psi_i`` certifies that K
     reproduces every ``F_i`` within ``b_i = psd_tol * min(1, ||F_i||_F)``.
+    On a factored POVM, ``F_i = w_i |v_i><v_i|``, the rows are
+    ``r_i = w_i <psi_i|v_i> v_i^dag`` and ``w_i |<psi_i|v_i>|^2`` the pivot
+    weights, and every defect is zero: no operator stack is formed.
     K is passive (its Gram matrix is ``I - F_{N+1}``); phases never affect statistics.
 
     Raises
@@ -185,11 +190,18 @@ def lossy_from_povm(
         if bad.size:
             i = int(bad[0])
             raise ParamOutOfRange(f"phase {i + 1} is not finite: {float(phi[i])!r}", phase=i + 1)
-    f = p.operators[:n]
     psi = basis.psi
-    rows = np.einsum("ik,kij->kj", psi.conj(), f)  # row k is psi_k^dag F_k
-    weights = np.einsum("ij,ji->i", rows, psi).real
-    nonzero, aligned, passed = rank_one_rule(f, rows, weights, ctx)
+    if p.stack is None:
+        overlaps = np.sum(psi.conj().T * p.vectors, axis=1)  # <psi_k|v_k>
+        scaled = overlaps if p.weights is None else p.weights * overlaps
+        rows = scaled[:, None] * p.vectors.conj()
+        weights = (scaled * overlaps.conj()).real
+        nonzero, aligned, passed = _rank_one_verdicts(_dyad_norms(p), weights, 0.0, ctx.psd_tol)
+    else:
+        f = p.stack[:n]
+        rows = np.einsum("ik,kij->kj", psi.conj(), f)  # row k is psi_k^dag F_k
+        weights = np.einsum("ij,ji->i", rows, psi).real
+        nonzero, aligned, passed = rank_one_rule(f, rows, weights, ctx)
     bad = np.flatnonzero(~nonzero)
     if bad.size:
         raise RankMismatch(f"detection operator {bad[0] + 1} is zero", operator=int(bad[0]) + 1)
@@ -204,7 +216,7 @@ def lossy_from_povm(
     if bad.size:
         raise RankMismatch(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     coefficients = np.exp(1j * phi) / np.sqrt(weights)
-    return make_lossy(psi @ (coefficients[:, None] * rows), ctx)
+    return _lossy(psi @ (coefficients[:, None] * rows), ctx)
 
 
 def dyadic_form(

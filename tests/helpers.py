@@ -116,16 +116,17 @@ def first_weight(p: PovmSet, s: StateSet) -> float:
     return float(np.trace(p.operators[0]).real / np.vdot(d, d).real)
 
 
-def record_calls(monkeypatch, name):
-    """Replace ``numpy.linalg.<name>`` by a wrapper that records argument shapes."""
+def record_calls(monkeypatch, name, module=np.linalg):
+    """Replace ``module.<name>`` (``numpy.linalg`` by default) by a wrapper
+    that records the shape of each call's first argument."""
     calls = []
-    routine = getattr(np.linalg, name)
+    routine = getattr(module, name)
 
     def recorded(a, *args, **kwargs):
         calls.append(np.shape(a))
         return routine(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 

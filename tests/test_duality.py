@@ -341,7 +341,7 @@ def test_validate_eigensolves_only_the_inconclusive_operator(monkeypatch):
     p = build_usd_povm(state_set(m / np.linalg.norm(m, axis=0)))
     calls = record_calls(monkeypatch, "eigvalsh")
     report = validate_povm(p)
-    assert calls == [(1, n, n)]
+    assert calls == [(n, n)]  # the completion, read from the factored POVM
     assert report.valid
     assert report.rank.tolist() == [1] * n + [n - 1]
 

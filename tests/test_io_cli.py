@@ -292,17 +292,17 @@ GOLDEN_STDOUT = {
         "    1   0.4             0.6\n"
         "    2   0.4             0.6\n"
         "total_success       0.4\n"
-        "total_error         7.70371977755e-33\n"
+        "total_error         6.90462129458e-33\n"
         "total_inconclusive  0.6\n"
     ),
     ("example", True): (
         '{"name": "fig1", "param": 0.5, "expected": {"output_amplitude": 0.63245553203367588, '
         '"success_per_state": 0.40000000000000002, "inconclusive": 0.59999999999999998, '
         '"overlap": 0.59999999999999998}, "spectral_norm": 1, "report": {"per_state_success": '
-        '[0.39999999999999991, 0.39999999999999986], "error_matrix": [[0, 3.0814879110195774e-33], '
-        '[1.2325951644078309e-32, 0]], "inconclusive_per_state": [0.6000000000000002, 0.6000000000000002], '
-        '"total_success": 0.39999999999999991, "total_error": 7.7037197775489434e-33, '
-        '"total_inconclusive": 0.6000000000000002}}\n'
+        '[0.39999999999999986, 0.39999999999999986], "error_matrix": [[0, 2.5569075145616493e-33], '
+        '[1.1252335074603769e-32, 0]], "inconclusive_per_state": [0.6000000000000002, 0.60000000000000009], '
+        '"total_success": 0.39999999999999986, "total_error": 6.9046212945827092e-33, '
+        '"total_inconclusive": 0.60000000000000009}}\n'
     ),
 }
 
