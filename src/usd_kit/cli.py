@@ -222,7 +222,8 @@ def _cmd_embed(args, ctx: ToleranceContext) -> int:
     residual = linalg.check_unitary(u, ctx, "dilation")
     io.write_json(args.out, io.matrix_doc(u))
     doc = {"out": str(args.out), "dim": u.shape[0], "unitarity_residual": float(residual)}
-    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(u.shape[0])), ("unitarity_residual", _fmt(residual))])
+    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(u.shape[0])),
+                      ("unitarity_residual", _fmt(residual))])
     return 0
 
 

@@ -151,9 +151,8 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext
         # probs[i, j] = <alpha_i|F_j|alpha_i>, one block of operators at a time as
         # one (b N, N) @ (N, count) product, so no temporary is larger than
         # BLOCK_BYTES (256 KiB) however large the POVM.
-        probs = np.concatenate(
-            [np.sum(bra * (ops[s].reshape(-1, n) @ a).reshape(-1, n, count), axis=1).real for s in _blocks(ops)]
-        ).T
+        probs = np.concatenate([np.sum(bra * (ops[s].reshape(-1, n) @ a).reshape(-1, n, count), axis=1).real
+                                for s in _blocks(ops)]).T
     return _probability_rule(probs, (bra * a).real.sum(axis=0), ctx)
 
 
@@ -229,7 +228,8 @@ def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) 
         )
     if p.stack is None:  # w_j <v_j|rho|v_j> and tr(rho F_{N+1})
         hits = np.sum((p.vectors.conj() @ m) * p.vectors, axis=1).real
-        probs = np.append(hits if p.weights is None else p.weights * hits, np.einsum("ij,ji", m, p.inconclusive).real)
+        hits = hits if p.weights is None else p.weights * hits
+        probs = np.append(hits, np.einsum("ij,ji", m, p.inconclusive).real)
     else:
         probs = np.einsum("ij,kji->k", m, p.stack).real
     return _probability_rule(probs[None], np.trace(m).real[None], ctx)[0]

@@ -104,7 +104,8 @@ def _fill(p: PovmSet, **fields) -> PovmSet:
 
 
 def _dyad_stack(p: PovmSet) -> np.ndarray:
-    """The read-only stack of a factored POVM: ``F_i = w_i |v_i><v_i|``, then ``F_{N+1}``."""
+    """The read-only stack of a factored POVM: ``F_i = w_i |v_i><v_i|``, then ``F_{N+1}``.
+    Unit weights are not multiplied in: ``x * (1 + 0j)`` can flip the sign of a zero."""
     v, n = p.vectors, p.dim
     ops = np.empty((n + 1, n, n), dtype=complex)
     np.multiply(v[:, :, None], v.conj()[:, None, :], out=ops[:n])
@@ -352,13 +353,12 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     The inconclusive operator and every uncertified operator share one
     ``eigvalsh`` call and report exact eigenvalue diagnostics.
 
-    A factored POVM (:func:`rank_one_povm`) is certified from its factors,
-    with no stack.  Each ``F_k = w_k |v_k><v_k|`` is exactly Hermitian and
-    positive, rank one exactly when ``||F_k||_F = w_k ||v_k||^2 > psd_tol``, so
-    it reports residual 0, ``min_eigenvalue`` 0 (the bound ``-d_k`` with
-    ``d_k = 0``) and ``rank_one`` equal to that rank.  The symmetrized
-    completion reports residual 0 and its ``eigvalsh``; the completeness
-    residual is ``||(V^T w) V^* + F_{N+1} - I||_F``, from one product.
+    A factored POVM (:func:`rank_one_povm`) is certified from its factors.
+    Each ``F_k = w_k |v_k><v_k|`` is exactly Hermitian, positive, and rank one
+    exactly when ``||F_k||_F = w_k ||v_k||^2 > psd_tol``: it reports residual 0,
+    ``min_eigenvalue`` 0 (the bound ``-d_k``, ``d_k = 0``) and ``rank_one`` equal
+    to that rank.  Only the symmetrized completion, residual 0, is eigensolved;
+    the completeness residual is ``||(V^T w) V^* + F_{N+1} - I||_F``, one product.
     """
     n = p.dim
     if p.stack is None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, _dyad_norms, _rank_one_verdicts, rank_one_povm, rank_one_rule, state_set
+from .duality import PovmSet, StateSet, rank_one_povm, rank_one_rule, state_set
+from .duality import _dyad_norms, _rank_one_verdicts
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
