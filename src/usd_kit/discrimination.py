@@ -178,8 +178,8 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     inconclusive = probs[:, n]
     weights = np.asarray(e.priors)
     return DiscriminationReport(
-        per_state_success=linalg.freeze(success),
-        error_matrix=linalg.freeze(errors),
+        per_state_success=linalg._freeze(success),
+        error_matrix=linalg._freeze(errors),
         inconclusive_per_state=linalg.frozen(inconclusive),
         total_success=float(weights @ success),
         total_error=float(weights @ errors.sum(axis=1)),

@@ -112,7 +112,7 @@ def _dyad_stack(p: PovmSet) -> np.ndarray:
     if p.weights is not None:
         ops[:n] *= p.weights[:, None, None]
     ops[n] = p.inconclusive
-    return linalg.freeze(ops)
+    return linalg._freeze(ops)
 
 
 def _dyad_sum(vectors: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -189,7 +189,7 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
         )
     u, sv, vh = s.svd
     linalg.check_invertible(sv, ctx)
-    return linalg.freeze((u / sv) @ vh)
+    return linalg._freeze((u / sv) @ vh)
 
 
 def rank_one_povm(rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSet:
@@ -199,7 +199,7 @@ def rank_one_povm(rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSe
     """
     completion = np.eye(rows.shape[1]) - _dyad_sum(rows, weights)
     return _fill(object.__new__(PovmSet), dim=rows.shape[1], vectors=rows, weights=weights, stack=None,
-                 inconclusive=linalg.freeze((completion + completion.conj().T) / 2.0))
+                 inconclusive=linalg._freeze((completion + completion.conj().T) / 2.0))
 
 
 def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TOL) -> PovmSet:
@@ -241,7 +241,7 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
                 weight=float(lambdas[bad[0]]),
                 limit=float(limit[bad[0]]),
             )
-    p = rank_one_povm(duals.T, linalg.freeze(lambdas))
+    p = rank_one_povm(duals.T, linalg._freeze(lambdas))
     if weights is not None:
         min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
         if min_eig < -ctx.psd_tol:
@@ -387,10 +387,10 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
         ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
         completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
     return ValidationReport(
-        hermiticity_residual=linalg.freeze(herm),
-        min_eigenvalue=linalg.freeze(min_eig),
-        rank=linalg.freeze(ranks),
-        rank_one=linalg.freeze(rank_one),
+        hermiticity_residual=linalg._freeze(herm),
+        min_eigenvalue=linalg._freeze(min_eig),
+        rank=linalg._freeze(ranks),
+        rank_one=linalg._freeze(rank_one),
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
     )

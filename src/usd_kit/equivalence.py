@@ -78,10 +78,9 @@ def _passive(top: float, ctx: ToleranceContext) -> bool:
 
 
 def _lossy(k: np.ndarray, ctx: ToleranceContext, svd=None) -> LossyEvolution:
-    """Wrap a fresh ``k``, made read-only in place, with its SVD (taken when not
-    given) and passiveness."""
+    """Wrap a read-only ``k`` with its SVD (taken when not given) and passiveness."""
     svd = linalg.thin_svd(k) if svd is None else svd
-    return LossyEvolution(k=linalg.freeze(k), svd=svd, passive=_passive(svd[1][0], ctx))
+    return LossyEvolution(k=k, svd=svd, passive=_passive(svd[1][0], ctx))
 
 
 def make_lossy(k, ctx: ToleranceContext = DEFAULT_TOL) -> LossyEvolution:
@@ -120,8 +119,8 @@ def normalize_passive(
             spectral_norm=top,
         )
     u, s, vh = le.svd
-    k = linalg.as_matrix(le.k / scale, "evolution operator")
-    return _lossy(k, ctx, (u, linalg.freeze(s / scale), vh))
+    k = linalg._freeze(linalg.as_matrix(le.k / scale, "evolution operator"))
+    return _lossy(k, ctx, (u, linalg._freeze(s / scale), vh))
 
 
 def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
@@ -143,7 +142,7 @@ def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
         raise DimensionMismatch(
             f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
         )
-    return rank_one_povm(linalg.freeze((np.asarray(le.k).conj().T @ basis.psi).T))
+    return rank_one_povm(linalg._freeze((np.asarray(le.k).conj().T @ basis.psi).T))
 
 
 def lossy_from_povm(
@@ -217,7 +216,7 @@ def lossy_from_povm(
     if bad.size:
         raise RankMismatch(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     coefficients = np.exp(1j * phi) / np.sqrt(weights)
-    return _lossy(psi @ (coefficients[:, None] * rows), ctx)
+    return _lossy(linalg._freeze(psi @ (coefficients[:, None] * rows)), ctx)
 
 
 def dyadic_form(

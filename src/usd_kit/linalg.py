@@ -61,10 +61,10 @@ DEFAULT_TOL = ToleranceContext()
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """Return a read-only copy, safe to share across threads."""
-    return freeze(np.array(a, copy=True))
+    return _freeze(np.array(a, copy=True))
 
 
-def freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray) -> np.ndarray:
     """Make ``a`` read-only in place and return it: for fresh arrays no caller holds."""
     a.setflags(write=False)
     return a
@@ -153,7 +153,7 @@ def thin_svd(k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``(U, s, V^dag)`` of ``k``, ``s`` descending, made read-only in place:
     copies of live factors cost an N=64 pipeline about 3 MB of peak RSS."""
     u, s, vh = np.linalg.svd(as_matrix(k, "operator"), full_matrices=False)
-    return freeze(u), freeze(s), freeze(vh)
+    return _freeze(u), _freeze(s), _freeze(vh)
 
 
 def spectral_norm(k) -> float:
