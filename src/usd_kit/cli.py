@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -71,28 +72,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _print_pairs(pairs: list[tuple[str, str]]) -> None:
+def _aligned(pairs: list[tuple[str, str]]) -> list[str]:
     width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key.ljust(width)}  {value}")
+    return [f"{key.ljust(width)}  {value}" for key, value in pairs]
 
 
-def _emit(args, doc: dict, pairs: list[tuple[str, str]]) -> None:
-    """Print ``doc`` as JSON with ``--json``, else the aligned ``pairs``."""
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        _print_pairs(pairs)
+def _emit(args, doc: dict, lines) -> None:
+    """Print ``doc`` as JSON with ``--json``, else the text ``lines``: an iterator
+    of them is drawn only for the text."""
+    print(io.render_json(doc) if args.json else "\n".join(lines))
 
 
-def _matrix_lines(m: np.ndarray, label: str) -> list[str]:
-    lines = [f"{label} ({m.shape[0]}x{m.shape[1]}):"]
-    for i in range(m.shape[0]):
-        entries = "  ".join(
-            f"{v.real:+.6g}{v.imag:+.6g}j" for v in np.asarray(m)[i]
-        )
-        lines.append(f"  [{entries}]")
-    return lines
+def _matrix_lines(m: np.ndarray, label: str):
+    """The text of ``m``, one line per row, formatted as it is drawn."""
+    yield f"{label} ({m.shape[0]}x{m.shape[1]}):"
+    for row in m:
+        yield "  [" + "  ".join(f"{v.real:+.6g}{v.imag:+.6g}j" for v in row) + "]"
 
 
 def _report_doc(report) -> dict:
@@ -106,20 +101,12 @@ def _report_doc(report) -> dict:
     }
 
 
-def _print_report_human(report) -> None:
-    print("state   p(success)      p(inconclusive)")
-    for i in range(len(report.per_state_success)):
-        print(
-            f"{i + 1:>5}   {report.per_state_success[i]:<14.10g}  "
-            f"{report.inconclusive_per_state[i]:<.10g}"
-        )
-    _print_pairs(
-        [
-            ("total_success", _fmt(report.total_success)),
-            ("total_error", _fmt(report.total_error)),
-            ("total_inconclusive", _fmt(report.total_inconclusive)),
-        ]
-    )
+def _report_lines(report) -> list[str]:
+    rows = enumerate(zip(report.per_state_success, report.inconclusive_per_state))
+    return ["state   p(success)      p(inconclusive)",
+            *(f"{i + 1:>5}   {success:<14.10g}  {inconclusive:<.10g}" for i, (success, inconclusive) in rows),
+            *_aligned([("total_success", _fmt(report.total_success)), ("total_error", _fmt(report.total_error)),
+                       ("total_inconclusive", _fmt(report.total_inconclusive))])]
 
 
 def _validation_doc(report) -> dict:
@@ -144,12 +131,8 @@ def _cmd_dual(args, ctx: ToleranceContext) -> int:
         "residual_matrix": [[float(x) for x in row] for row in residual],
         "max_residual": float(residual.max()),
     }
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        for line in _matrix_lines(duals, "dual vectors (columns)"):
-            print(line)
-        print(f"max pairing residual: {_fmt(residual.max())}")
+    text = chain(_matrix_lines(duals, "dual vectors (columns)"), [f"max pairing residual: {_fmt(residual.max())}"])
+    _emit(args, doc, text)
     return 0
 
 
@@ -166,9 +149,9 @@ def _cmd_povm_from_k(args, ctx: ToleranceContext) -> int:
         "spectral_norm": float(le.sv[0]),
         "validation": _validation_doc(report),
     }
-    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(povm.dim)), ("spectral_norm", _fmt(le.sv[0])),
-                      ("completeness_residual", _fmt(report.completeness_residual)),
-                      ("valid", str(report.valid).lower())])
+    _emit(args, doc, _aligned([("wrote", str(args.out)), ("dim", str(povm.dim)), ("spectral_norm", _fmt(le.sv[0])),
+                               ("completeness_residual", _fmt(report.completeness_residual)),
+                               ("valid", str(report.valid).lower())]))
     return 0
 
 
@@ -184,8 +167,8 @@ def _cmd_k_from_povm(args, ctx: ToleranceContext) -> int:
     le = lossy_from_povm(povm, basis, phases, ctx)
     io.write_json(args.out, io.matrix_doc(le.k))
     doc = {"out": str(args.out), "dim": le.dim, "spectral_norm": float(le.sv[0]), "passive": le.passive}
-    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(le.dim)), ("spectral_norm", _fmt(le.sv[0])),
-                      ("passive", str(le.passive).lower())])
+    _emit(args, doc, _aligned([("wrote", str(args.out)), ("dim", str(le.dim)), ("spectral_norm", _fmt(le.sv[0])),
+                               ("passive", str(le.passive).lower())]))
     return 0
 
 
@@ -193,21 +176,11 @@ def _cmd_validate(args, ctx: ToleranceContext) -> int:
     povm = io.povm_from_doc(io.read_json(args.povm), ctx, validate=False)
     report = validate_povm(povm, ctx)
     doc = _validation_doc(report)
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        print("op    herm_residual   min_eigenvalue   rank")
-        for i, op in enumerate(doc["operators"]):
-            print(
-                f"{i + 1:>3}   {op['hermiticity_residual']:<14.6g}  "
-                f"{op['min_eigenvalue']:<15.6g}  {op['rank']}"
-            )
-        _print_pairs(
-            [
-                ("completeness_residual", _fmt(report.completeness_residual)),
-                ("valid", str(report.valid).lower()),
-            ]
-        )
+    _emit(args, doc, ["op    herm_residual   min_eigenvalue   rank",
+                      *(f"{i + 1:>3}   {op['hermiticity_residual']:<14.6g}  {op['min_eigenvalue']:<15.6g}  {op['rank']}"
+                        for i, op in enumerate(doc["operators"])),
+                      *_aligned([("completeness_residual", _fmt(report.completeness_residual)),
+                                 ("valid", str(report.valid).lower())])])
     if not report.valid:
         raise InvalidPovm(
             "POVM is invalid", completeness_residual=report.completeness_residual
@@ -222,8 +195,8 @@ def _cmd_embed(args, ctx: ToleranceContext) -> int:
     residual = linalg.check_unitary(u, ctx, "dilation")
     io.write_json(args.out, io.matrix_doc(u))
     doc = {"out": str(args.out), "dim": u.shape[0], "unitarity_residual": float(residual)}
-    _emit(args, doc, [("wrote", str(args.out)), ("dim", str(u.shape[0])),
-                      ("unitarity_residual", _fmt(residual))])
+    _emit(args, doc, _aligned([("wrote", str(args.out)), ("dim", str(u.shape[0])),
+                               ("unitarity_residual", _fmt(residual))]))
     return 0
 
 
@@ -235,22 +208,14 @@ def _cmd_discriminate(args, ctx: ToleranceContext) -> int:
         le = make_lossy(io.matrix_from_doc(io.read_json(args.k)), ctx)
         povm = povm_from_lossy(le, computational_basis(le.dim))
     report = usd_report(ensemble, povm, ctx)
-    doc = {"report": _report_doc(report)}
+    doc, lines = {"report": _report_doc(report)}, _report_lines(report)
     if args.trials is not None:
         stats = sample_outcomes(ensemble, povm, args.trials, RandomSource(seed=args.seed), ctx)
-        doc["outcomes"] = {
-            "trials_per_state": stats.trials,
-            "seed": stats.seed,
-            "counts": [[int(c) for c in row] for row in stats.counts],
-        }
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        _print_report_human(report)
-        if args.trials is not None:
-            print(f"counts ({args.trials} trials/state, seed {args.seed}):")
-            for i, row in enumerate(doc["outcomes"]["counts"]):
-                print(f"  state {i + 1}: {row}")
+        counts = [[int(c) for c in row] for row in stats.counts]
+        doc["outcomes"] = {"trials_per_state": stats.trials, "seed": stats.seed, "counts": counts}
+        lines += [f"counts ({args.trials} trials/state, seed {args.seed}):",
+                  *(f"  state {i + 1}: {row}" for i, row in enumerate(counts))]
+    _emit(args, doc, lines)
     return 0
 
 
@@ -274,16 +239,12 @@ def _cmd_example(args, ctx: ToleranceContext) -> int:
             d = scenario.input_states.dim
             leaked = u[d:, :d] @ np.asarray(scenario.input_states.states)
             doc["ancilla_mass"] = float(ensemble.priors @ np.sum(np.abs(leaked) ** 2, axis=0))
-    if args.json:
-        print(io.render_json(doc))
-    else:
-        pairs = [("scenario", scenario.name), ("param", _fmt(args.param))]
-        pairs += [(f"expected.{k}", _fmt(v)) for k, v in scenario.expected.items()]
-        pairs += [("spectral_norm", _fmt(scenario.k.sv[0]))]
-        if "ancilla_mass" in doc:
-            pairs.append(("ancilla_mass", _fmt(doc["ancilla_mass"])))
-        _print_pairs(pairs)
-        _print_report_human(report)
+    pairs = [("scenario", scenario.name), ("param", _fmt(args.param))]
+    pairs += [(f"expected.{k}", _fmt(v)) for k, v in scenario.expected.items()]
+    pairs += [("spectral_norm", _fmt(scenario.k.sv[0]))]
+    if "ancilla_mass" in doc:
+        pairs.append(("ancilla_mass", _fmt(doc["ancilla_mass"])))
+    _emit(args, doc, _aligned(pairs) + _report_lines(report))
     return 0
 
 

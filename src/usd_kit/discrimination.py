@@ -28,7 +28,7 @@ PRIOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class StateEnsemble:
+class StateEnsemble(linalg._Immutable):
     """States with preparation probabilities ``priors`` (nonnegative, sum 1)."""
 
     states: StateSet
@@ -44,7 +44,7 @@ class StateEnsemble:
 
 
 @dataclass(frozen=True)
-class DiscriminationReport:
+class DiscriminationReport(linalg._Immutable):
     """Per-state and prior-weighted discrimination statistics.
 
     ``error_matrix[i, j]`` is the probability of detecting j when state i
@@ -82,7 +82,7 @@ class RandomSource:
 
 
 @dataclass(frozen=True)
-class OutcomeStats:
+class OutcomeStats(linalg._Immutable):
     """Sampled outcome counts, one row of N+1 counts per prepared state."""
 
     counts: np.ndarray
@@ -97,7 +97,7 @@ def state_ensemble(states: StateSet, priors) -> StateEnsemble:
         raise InvalidEnsemble(
             f"expected {states.count} priors, got shape {p.shape}"
         )
-    if not np.all((p >= 0.0) & np.isfinite(p)):
+    if not ((p >= 0.0) & np.isfinite(p)).all():
         raise InvalidEnsemble("priors must be finite and nonnegative")
     total = float(p.sum())
     if abs(total - 1.0) > PRIOR_TOL:
@@ -172,11 +172,11 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
         )
     probs = _per_state_probabilities(e, p, ctx)
     n = e.count
-    success = np.diagonal(probs).copy()
+    success = probs.diagonal().copy()
     errors = probs[:, :n].copy()
-    np.fill_diagonal(errors, 0.0)
+    errors.flat[:: n + 1] = 0.0  # the diagonal
     inconclusive = probs[:, n]
-    weights = np.asarray(e.priors)
+    weights = e.priors
     return DiscriminationReport(
         per_state_success=linalg._freeze(success),
         error_matrix=linalg._freeze(errors),
@@ -212,7 +212,7 @@ def sample_outcomes(
         raise InvalidEnsemble(f"trials_per_state must be an integer in [0, 2**63), got {trials!r}")
     probs = _per_state_probabilities(e, p, ctx)
     counts = rng.generator().multinomial(trials, probs / probs.sum(axis=1, keepdims=True))
-    return OutcomeStats(counts=linalg.frozen(counts), trials=trials, seed=rng.seed)
+    return OutcomeStats(counts=linalg._freeze(counts), trials=trials, seed=rng.seed)
 
 
 def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

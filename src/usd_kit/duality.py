@@ -33,7 +33,7 @@ BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
-class StateSet:
+class StateSet(linalg._Immutable):
     """Unit-norm state vectors stored as the columns of ``states``.
 
     ``dim`` is the dimension of the carrier space; the number of columns
@@ -46,7 +46,8 @@ class StateSet:
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return linalg.thin_svd(self.states)
+        # state_set fills this cache; a set built directly is checked here
+        return linalg.thin_svd(linalg.as_matrix(self.states, "states"))
 
     @property
     def sv(self) -> np.ndarray:
@@ -58,7 +59,7 @@ class StateSet:
 
 
 @dataclass(frozen=True, init=False)
-class PovmSet:
+class PovmSet(linalg._Immutable):
     """Ordered positive operators ``F_1 .. F_{N+1}`` summing to identity: N
     rank-one detection operators and ``inconclusive``, ``F_{N+1}``.
 
@@ -98,8 +99,7 @@ class PovmSet:
 
 
 def _fill(p: PovmSet, **fields) -> PovmSet:
-    for name, value in fields.items():
-        object.__setattr__(p, name, value)
+    p.__dict__.update(fields)  # the frozen dataclass's fields, set once
     return p
 
 
@@ -127,7 +127,7 @@ def _dyad_norms(p: PovmSet) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(linalg._Immutable):
     """Diagnostics of a POVM: read-only arrays with one entry per operator
     ``F_1 .. F_{N+1}`` (``hermiticity_residual`` ``||F_k - F_k^dag||_F``,
     ``min_eigenvalue`` and integer ``rank``, see :func:`validate_povm`), the
@@ -143,29 +143,37 @@ class ValidationReport:
 
 
 def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
-    """Validate and freeze a matrix of state columns.
+    """Validate a matrix of state columns and keep a read-only copy.
 
     Raises
     ------
+    InvalidMatrix
+        If ``states`` is not a finite 2-D matrix.
     InvalidStateSet
         If any column norm deviates from 1 by more than ``eq_tol``.
     SingularStates
         If the columns are linearly dependent within ``cond_max``.
     """
-    m = linalg.as_matrix(states, "states")
+    return _state_set(linalg.frozen(linalg.as_matrix(states, "states")), ctx)
+
+
+def _state_set(m: np.ndarray, ctx: ToleranceContext) -> StateSet:
+    """The checks of :func:`state_set` on a finite read-only complex matrix that
+    no caller writes: the set keeps it, and its one SVD, as they are."""
     dim, count = m.shape
     if count == 0 or count > dim:
         raise InvalidStateSet(
             f"need between 1 and {dim} states in dimension {dim}, got {count}"
         )
     norms = np.linalg.norm(m, axis=0)
-    worst = float(np.max(np.abs(norms - 1.0)))
+    worst = float(np.abs(norms - 1.0).max())
     if worst > ctx.eq_tol:
         raise InvalidStateSet(
             f"state norms deviate from 1 by {worst:.3e} (eq_tol {ctx.eq_tol:.1e})",
             worst_norm_deviation=worst,
         )
-    s = StateSet(dim=dim, states=linalg.frozen(m))
+    s = StateSet(dim=dim, states=m)
+    s.__dict__["svd"] = linalg.thin_svd(m)  # the cached_property's slot
     cond = linalg.sv_condition(s.sv)
     if cond > ctx.cond_max:
         raise SingularStates("states are linearly dependent within tolerance", condition_number=cond)
@@ -178,14 +186,12 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
 
     Column ``i`` pairs to one with state ``i`` and to zero with every other
     state; the duals are unnormalized, and the POVM scaling weights absorb
-    that freedom.  Requires as many states as dimensions; with fewer states
-    the duals are not uniquely defined, so rotate into a subspace first with
-    :func:`subspace_reduce`.
+    that freedom.  Requires as many states as dimensions (``DimensionMismatch``
+    naming both counts otherwise): with fewer states the duals are not uniquely defined.
     """
     if s.count != s.dim:
         raise DimensionMismatch(
-            f"duals need {s.dim} states in dimension {s.dim}, got {s.count}; "
-            "apply subspace_reduce first"
+            f"duals need {s.dim} states in dimension {s.dim}, got {s.count}", states=s.count, dim=s.dim
         )
     u, sv, vh = s.svd
     linalg.check_invertible(sv, ctx)
@@ -197,7 +203,7 @@ def rank_one_povm(rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSe
     (``w_i = 1`` without ``weights``), completed by ``I - (V^T w) V^*``,
     Hermitian-symmetrized.  Keeps ``rows`` and ``weights``: they must be read-only.
     """
-    completion = np.eye(rows.shape[1]) - _dyad_sum(rows, weights)
+    completion = linalg._identity(rows.shape[1]) - _dyad_sum(rows, weights)
     return _fill(object.__new__(PovmSet), dim=rows.shape[1], vectors=rows, weights=weights, stack=None,
                  inconclusive=linalg._freeze((completion + completion.conj().T) / 2.0))
 
@@ -367,7 +373,7 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
         herm, hermitian = np.zeros(n + 1), True
         min_eig = np.append(np.zeros(n), w[0])
         ranks = np.append(rank_one, np.count_nonzero(w > ctx.psd_tol)).astype(int)
-        completeness = linalg.frobenius(_dyad_sum(p.vectors, p.weights) + p.inconclusive - np.eye(n))
+        completeness = linalg.frobenius(_dyad_sum(p.vectors, p.weights) + p.inconclusive - linalg._identity(n))
     else:
         ops = p.stack
         rows, weights = diagonal_pivot(ops[:n])
@@ -385,7 +391,7 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
         min_eig[rest] = w[:, 0]
         ranks = np.ones(n + 1, dtype=int)
         ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
-        completeness = linalg.frobenius(ops.sum(axis=0) - np.eye(n))
+        completeness = linalg.frobenius(ops.sum(axis=0) - linalg._identity(n))
     return ValidationReport(
         hermiticity_residual=linalg._freeze(herm),
         min_eigenvalue=linalg._freeze(min_eig),

@@ -11,17 +11,17 @@ are two views of the same constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, rank_one_povm, rank_one_rule, state_set
-from .duality import _dyad_norms, _rank_one_verdicts
+from .duality import PovmSet, StateSet, rank_one_povm, rank_one_rule
+from .duality import _dyad_norms, _rank_one_verdicts, _state_set
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
     GammaTooSmall,
-    NotHermitian,
     NotPassive,
     ParamOutOfRange,
     RankMismatch,
@@ -30,7 +30,7 @@ from .linalg import DEFAULT_TOL, ToleranceContext
 
 
 @dataclass(frozen=True)
-class LossyEvolution:
+class LossyEvolution(linalg._Immutable):
     """Evolution operator with its one SVD ``svd = (U, s, V^dag)``, ``sv = s``.
 
     The passiveness check, :func:`discriminable_states` and :func:`dilate_unitary`
@@ -51,7 +51,7 @@ class LossyEvolution:
 
 
 @dataclass(frozen=True)
-class ProjectiveBasis:
+class ProjectiveBasis(linalg._Immutable):
     """Orthonormal measurement basis; column i defines the projector onto it."""
 
     psi: np.ndarray
@@ -68,8 +68,10 @@ def projective_basis(psi, ctx: ToleranceContext = DEFAULT_TOL) -> ProjectiveBasi
     return ProjectiveBasis(psi=linalg.frozen(m))
 
 
+@lru_cache(maxsize=None, typed=True)
 def computational_basis(n: int) -> ProjectiveBasis:
-    return ProjectiveBasis(psi=linalg.frozen(np.eye(n, dtype=complex)))
+    """The standard basis of C^n: one shared read-only object per ``n``, built on first use."""
+    return ProjectiveBasis(psi=linalg._identity(n))
 
 
 def _passive(top: float, ctx: ToleranceContext) -> bool:
@@ -78,7 +80,7 @@ def _passive(top: float, ctx: ToleranceContext) -> bool:
 
 
 def _lossy(k: np.ndarray, ctx: ToleranceContext, svd=None) -> LossyEvolution:
-    """Wrap a read-only ``k`` with its SVD (taken when not given) and passiveness."""
+    """Wrap a finite read-only complex ``k`` with its SVD (taken when not given) and passiveness."""
     svd = linalg.thin_svd(k) if svd is None else svd
     return LossyEvolution(k=k, svd=svd, passive=_passive(svd[1][0], ctx))
 
@@ -142,7 +144,7 @@ def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
         raise DimensionMismatch(
             f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
         )
-    return rank_one_povm(linalg._freeze((np.asarray(le.k).conj().T @ basis.psi).T))
+    return rank_one_povm(linalg._freeze((le.k.conj().T @ basis.psi).T))
 
 
 def lossy_from_povm(
@@ -216,7 +218,7 @@ def lossy_from_povm(
     if bad.size:
         raise RankMismatch(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     coefficients = np.exp(1j * phi) / np.sqrt(weights)
-    return _lossy(linalg._freeze(psi @ (coefficients[:, None] * rows)), ctx)
+    return _lossy(linalg._freeze(linalg.as_matrix(psi @ (coefficients[:, None] * rows), "operator")), ctx)
 
 
 def dyadic_form(
@@ -255,7 +257,7 @@ def discriminable_states(
     u, sv, vh = le.svd
     linalg.check_invertible(sv, ctx)
     raw = (vh.conj().T / sv) @ (u.conj().T @ basis.psi)
-    return state_set(raw / np.linalg.norm(raw, axis=0), ctx)
+    return _state_set(linalg._freeze(linalg.as_matrix(raw / np.linalg.norm(raw, axis=0), "states")), ctx)
 
 
 def dilate_unitary(le: LossyEvolution) -> np.ndarray:
@@ -276,7 +278,7 @@ def dilate_unitary(le: LossyEvolution) -> np.ndarray:
         )
     n = le.dim
     left, s, right_h = le.svd
-    defect = np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None))
+    defect = np.sqrt(np.maximum((1.0 - s) * (1.0 + s), 0.0))
     u = np.empty((2 * n, 2 * n), dtype=complex)
     u[:n, :n] = le.k
     u[:n, n:] = (left * defect) @ left.conj().T
@@ -301,7 +303,7 @@ def reduced_evolution(
         raise DimensionMismatch(
             f"subspace dimension {subspace_dim} out of range for size {n}"
         )
-    le = make_lossy(um[:subspace_dim, :subspace_dim], ctx)
+    le = _lossy(linalg.frozen(um[:subspace_dim, :subspace_dim]), ctx)
     if not le.passive:
         top = float(le.sv[0])
         raise NotPassive(f"submatrix has spectral norm {top!r} > 1", spectral_norm=top)
@@ -320,10 +322,5 @@ def inconclusive_rank(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> int:
     NotHermitian
         When the inconclusive operator breaks the Hermiticity rule.
     """
-    f = p.inconclusive
-    residual, hermitian = linalg.hermiticity(f, ctx)
-    if not hermitian:
-        raise NotHermitian(
-            f"inconclusive operator is not Hermitian (residual {residual:.3e})", residual=residual
-        )
-    return int(np.count_nonzero(np.linalg.eigvalsh(f) > ctx.psd_tol))
+    linalg._check_hermitian(p.inconclusive, ctx, "inconclusive operator")
+    return int(np.count_nonzero(np.linalg.eigvalsh(p.inconclusive) > ctx.psd_tol))

@@ -44,6 +44,8 @@ def _render(value, out: list[str]) -> None:
         out.append("-0.0" if text == "-0" else text)  # "-0" parses as the integer 0
     elif isinstance(value, str):
         out.append(json.dumps(value))
+    elif isinstance(value, list) and (block := _float_block(value)) is not None:
+        out.append(block)
     elif isinstance(value, dict):
         out.append("{")
         for idx, (key, item) in enumerate(value.items()):
@@ -62,6 +64,22 @@ def _render(value, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _float_block(value: list) -> str | None:
+    """``value`` rendered as :func:`_render` would, by one ``%`` format, when it
+    is nested lists of one shape whose every leaf is a finite ``float``; else ``None``."""
+    try:
+        a = np.array(value, dtype=object)
+    except ValueError:  # a list of arrays that numpy cannot stack
+        return None
+    if a.size == 0 or set(map(type, a.flat)) != {float} or not np.isfinite(a.astype(float)).all():
+        return None
+    template = "%.17g"
+    for k in reversed(a.shape):
+        template = "[" + ", ".join([template] * k) + "]"
+    # "%.17g" writes -0.0 as "-0", and no other number it writes ends in "-0"
+    return (template % tuple(a.flat)).replace("-0,", "-0.0,").replace("-0]", "-0.0]")
 
 
 def render_json(value) -> str:

@@ -11,6 +11,7 @@ never from ``K^dag K``, whose eigenvalues square the condition number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +71,30 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Immutable:
+    """Base of the result dataclasses, whose arrays are read-only: ``copy`` and
+    ``deepcopy`` return the object itself, and unpickling freezes every array again."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo: dict):
+        return memo.setdefault(id(self), self)
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():  # an array, or a tuple of them such as an SVD
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    _freeze(item)
+        self.__dict__.update(state)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _identity(n: int) -> np.ndarray:
+    """The shared complex ``n x n`` identity: a view of a read-only array, so no caller can make it writeable."""
+    return _freeze(np.eye(n, dtype=complex)).view()
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting NaN/Inf entries."""
     m = np.asarray(a, dtype=complex)
@@ -77,7 +102,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InvalidMatrix(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.size == 0:
         raise InvalidMatrix(f"{name} must not be empty")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidMatrix(f"{name} contains NaN or Inf entries")
     return m
 
@@ -124,7 +149,7 @@ def check_unitary(q: np.ndarray, ctx: ToleranceContext, name: str) -> float:
     when it breaks the unitarity rule ``residual <= eq_tol * max(1, n)``.
     """
     n = q.shape[0]
-    residual = frobenius(q.conj().T @ q - np.eye(n))
+    residual = frobenius(q.conj().T @ q - _identity(n))
     if residual > ctx.eq_tol * max(1.0, float(n)):
         raise NotUnitary(f"{name} is not unitary (residual {residual:.3e})", residual=residual)
     return residual
@@ -137,11 +162,10 @@ def _hermitian_eigen(h, ctx: ToleranceContext) -> tuple[np.ndarray, np.ndarray]:
     """
     hm = require_square(h, "Hermitian input")
     _check_hermitian(hm, ctx, "eigen input")
-    w, v = np.linalg.eigh(hm)
-    order = np.argsort(w)[::-1]
-    # v[:, order] is Fortran-ordered; the C-ordered copy fixes the layout, and
+    w, v = np.linalg.eigh(hm)  # ascending
+    # v[:, ::-1] is a strided view; the C-ordered copy fixes the layout, and
     # with it the rounding, of the products the callers form from it.
-    return w[order].copy(), v[:, order].copy()
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def singular_values(k) -> np.ndarray:
@@ -149,10 +173,11 @@ def singular_values(k) -> np.ndarray:
     return np.linalg.svd(as_matrix(k, "operator"), compute_uv=False)
 
 
-def thin_svd(k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``(U, s, V^dag)`` of ``k``, ``s`` descending, made read-only in place:
-    copies of live factors cost an N=64 pipeline about 3 MB of peak RSS."""
-    u, s, vh = np.linalg.svd(as_matrix(k, "operator"), full_matrices=False)
+def thin_svd(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(U, s, V^dag)`` of ``k``, ``s`` descending, made read-only in place (copies of
+    live factors cost an N=64 pipeline about 3 MB of peak RSS).  ``k`` must be a finite complex
+    matrix that its caller has already validated (:func:`as_matrix`): it is not checked here."""
+    u, s, vh = np.linalg.svd(k, full_matrices=False)
     return _freeze(u), _freeze(s), _freeze(vh)
 
 

@@ -9,7 +9,7 @@ by a beam splitter, embedding the lossy two-port in a four-port unitary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from .duality import StateSet
 from .equivalence import (
     LossyEvolution,
     ProjectiveBasis,
+    _lossy,
     computational_basis,
     dilate_unitary,
     discriminable_states,
-    make_lossy,
     reduced_evolution,
 )
 from .errors import ParamOutOfRange
@@ -29,7 +29,7 @@ from .linalg import DEFAULT_TOL, ToleranceContext
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(linalg._Immutable):
     name: str
     k: LossyEvolution
     basis: ProjectiveBasis
@@ -40,13 +40,13 @@ class Scenario:
 
 def beam_splitter_attenuator(gamma: float) -> np.ndarray:
     """Two-port evolution of a 50-50 splitter with attenuation ``gamma`` on arm 2."""
-    return np.array([[1.0, gamma], [-1.0, gamma]], dtype=complex) / np.sqrt(2.0)
+    return np.array([[1.0, gamma], [-1.0, gamma]], dtype=complex) / math.sqrt(2.0)
 
 
 def tight_binding_hamiltonian() -> np.ndarray:
     """Unit nearest-coupling Hamiltonian of three symmetric waveguides; another
     coupling ``a`` would only rescale the propagation length ``z`` to ``a z``."""
-    return np.ones((3, 3), dtype=complex) - np.eye(3, dtype=complex)
+    return 1.0 - linalg._identity(3)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -59,7 +59,7 @@ def _check_gamma(gamma: float) -> float:
 def fig1_scenario(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
     """Beam splitter plus attenuator discriminating two symmetric states."""
     g = _check_gamma(gamma)
-    k = make_lossy(beam_splitter_attenuator(g), ctx)
+    k = _lossy(linalg._freeze(beam_splitter_attenuator(g)), ctx)  # finite for every valid gamma
     basis = computational_basis(2)
     states = discriminable_states(k, basis, ctx)
     norm_sq = 1.0 + g * g
@@ -70,12 +70,6 @@ def fig1_scenario(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario
         "overlap": (1.0 - g * g) / norm_sq,
     }
     return Scenario(name="fig1", k=k, basis=basis, input_states=states, expected=expected)
-
-
-def _fig2_closed_form(z: float) -> tuple[complex, complex]:
-    """Diagonal and off-diagonal entries of the reduced two-port operator."""
-    off = (np.exp(-2j * z) - np.exp(1j * z)) / 3.0
-    return np.exp(1j * z) + off, off
 
 
 def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
@@ -105,14 +99,17 @@ def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
     z = math.fmod(z, 2.0 * math.pi)
     full_u = linalg.unitary_exp(tight_binding_hamiltonian(), z, ctx)
     k = reduced_evolution(full_u, 2, ctx)
-    states = discriminable_states(k, computational_basis(2), ctx)
+    basis = computational_basis(2)
+    states = discriminable_states(k, basis, ctx)
 
-    diag, off = _fig2_closed_form(z)
-    alpha = diag - off  # bare propagation phase e^{iz}
+    # the reduced operator's entries diag and off, from math: cmath would add to start-up
+    alpha = complex(math.cos(z), math.sin(z))  # bare propagation phase e^{iz}
+    off = (complex(math.cos(2.0 * z), -math.sin(2.0 * z)) - alpha) / 3.0
+    diag = alpha + off
     det = alpha * (alpha + 2.0 * off)
     col_norm_sq = (abs(diag) ** 2 + abs(off) ** 2) / abs(det) ** 2
     beta = 1.0 / math.sqrt(col_norm_sq)
-    overlap = abs(2.0 * (np.conj(diag) * -off).real) / (abs(diag) ** 2 + abs(off) ** 2)
+    overlap = abs(2.0 * (diag.conjugate() * -off).real) / (abs(diag) ** 2 + abs(off) ** 2)
     expected = {
         "beta_magnitude": beta,
         "success_per_state": beta * beta,
@@ -123,10 +120,10 @@ def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
     return Scenario(
         name="fig2",
         k=k,
-        basis=computational_basis(2),
+        basis=basis,
         input_states=states,
         expected=expected,
-        full_unitary=linalg.frozen(full_u),
+        full_unitary=linalg._freeze(full_u),
     )
 
 
@@ -137,19 +134,11 @@ def fig1_as_embedding(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scen
     probability routed to the ancilla ports equals the inconclusive
     probability of the lossy scheme.
     """
-    g = _check_gamma(gamma)
-    base = fig1_scenario(g, ctx)
+    base = fig1_scenario(gamma, ctx)
     full_u = dilate_unitary(base.k)
     expected = dict(base.expected)
     expected["ancilla_mass"] = expected["inconclusive"]
-    return Scenario(
-        name="fig1-embed",
-        k=base.k,
-        basis=base.basis,
-        input_states=base.input_states,
-        expected=expected,
-        full_unitary=linalg.frozen(full_u),
-    )
+    return replace(base, name="fig1-embed", expected=expected, full_unitary=linalg._freeze(full_u))
 
 
 def build_scenario(name: str, param: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:

@@ -622,6 +622,11 @@ def test_subspace_reduce_preserves_overlaps():
     assert np.max(np.abs(np.asarray(reduced.states)[3:, :])) < 1e-10
 
 
+def test_state_set_built_directly_checks_its_matrix_before_the_svd():
+    with pytest.raises(InvalidMatrix):
+        StateSet(dim=2, states=np.full((2, 2), np.nan, dtype=complex)).svd
+
+
 def test_subspace_reduce_dependent_states():
     column = np.array([1.0, 0.0, 0.0])
     # bypass the factory to exercise the operation's own rank check

@@ -34,6 +34,26 @@ def test_render_json_roundtrips_doubles_exactly():
     assert parsed.tobytes() == np.array(values).tobytes()  # bit for bit, sign of zero too
 
 
+def _as_tuples(value):
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_render_json_float_block_matches_the_walk(seed):
+    # Nested lists of floats take one %-format; tuples always take the walk.
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-309, 1e-300, -1e-300, 1e300, 0.1]
+    x = rng.standard_normal((3, 4, 2)) * 10.0 ** rng.integers(-320, 300, size=(3, 4, 2))
+    x.flat[rng.choice(x.size, 8, replace=False)] = special
+    doc = {"block": x.tolist(), "row": [-0.0, 1.5], "ints": [1, 2.0], "flags": [True, 0.5], "empty": [[]]}
+    assert io._float_block(doc["block"]) is not None and io._float_block(doc["ints"]) is None
+    text = io.render_json(doc)
+    assert text == io.render_json(_as_tuples(doc))
+    back = json.loads(text)
+    assert np.array(back["block"]).tobytes() == x.tobytes()  # bit for bit, sign of zero too
+    assert np.array(back["row"]).tobytes() == np.array([-0.0, 1.5]).tobytes()
+
+
 def test_render_json_rejects_non_finite():
     with pytest.raises(ValueError):
         io.render_json(float("inf"))
@@ -190,6 +210,16 @@ def test_cli_dual_dependent_states_exit_2(tmp_path, capsys):
     assert main(["dual", "--states", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "singular_states"
+
+
+def test_cli_dual_fewer_states_than_dimensions_names_the_counts(tmp_path, capsys):
+    path = tmp_path / "two_in_three.json"
+    io.write_json(path, io.ensemble_doc(state_ensemble(state_set(np.eye(3)[:, :2]), [0.5, 0.5])))
+    assert main(["dual", "--states", str(path), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "dimension_mismatch"
+    assert err["context"] == {"states": 2, "dim": 3}
+    assert "subspace_reduce" not in err["message"]
 
 
 # Exact stdout of validate and dual on N = 2 inputs whose numbers are exact in

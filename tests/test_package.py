@@ -1,5 +1,9 @@
 import ast
+import copy
+import pickle
 from pathlib import Path
+
+import numpy as np
 
 import usd_kit
 
@@ -73,3 +77,39 @@ def test_every_parameter_is_read():
             name = getattr(fn, "name", "<lambda>")
             dead += [f"{path.name}:{fn.lineno} {name}({p})" for p in params if p != "self" and p not in read]
     assert dead == []
+
+
+def _arrays(obj):
+    """Every array reachable from ``obj`` through attributes, tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        return [a for item in obj.values() for a in _arrays(item)]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item)]
+    return _arrays(vars(obj)) if hasattr(obj, "__dict__") else []
+
+
+def test_results_stay_read_only_through_copy_deepcopy_and_pickle():
+    s = usd_kit.state_set([[1.0, 0.6], [0.0, 0.8]])
+    povm = usd_kit.build_usd_povm(s)
+    ensemble = usd_kit.state_ensemble(s, [0.5, 0.5])
+    results = [
+        s,
+        povm,
+        usd_kit.PovmSet(2, povm.operators),
+        usd_kit.validate_povm(povm),
+        usd_kit.make_lossy(np.diag([0.5, 1.0])),
+        usd_kit.computational_basis(2),
+        ensemble,
+        usd_kit.usd_report(ensemble, povm),
+        usd_kit.sample_outcomes(ensemble, povm, 10, usd_kit.RandomSource(seed=1)),
+        usd_kit.build_scenario("fig1-embed", 0.5),
+    ]
+    for result in results:
+        assert copy.copy(result) is result and copy.deepcopy([result])[0] is result
+        back = pickle.loads(pickle.dumps(result))
+        arrays = _arrays(back)
+        assert arrays and not any(a.flags.writeable for a in arrays), type(result).__name__
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, _arrays(result)))
+    assert "svd" in vars(pickle.loads(pickle.dumps(s)))  # the cached SVD travels with the set

@@ -3,7 +3,7 @@ import pytest
 
 from usd_kit import linalg
 from usd_kit.discrimination import state_ensemble, usd_report
-from usd_kit.equivalence import inconclusive_rank, povm_from_lossy, reduced_evolution
+from usd_kit.equivalence import computational_basis, inconclusive_rank, povm_from_lossy, reduced_evolution
 from usd_kit.errors import ParamOutOfRange
 from usd_kit.scenarios import (
     build_scenario,
@@ -12,7 +12,7 @@ from usd_kit.scenarios import (
     fig2_scenario,
 )
 
-from helpers import FIG1_AMPLITUDE, fig1_k, fig1_states, fig2_propagator_closed_form
+from helpers import FIG1_AMPLITUDE, fig1_k, fig1_states, fig2_propagator_closed_form, record_calls
 
 Z_SWEEP = [round(0.2 * i, 1) for i in range(1, 16)]  # 0.2 .. 3.0
 
@@ -213,3 +213,20 @@ def test_build_scenario_dispatch():
     assert build_scenario("fig1-embed", 0.5).name == "fig1-embed"
     with pytest.raises(ParamOutOfRange):
         build_scenario("fig3", 0.5)
+
+
+# -- work per grid point --------------------------------------------------------
+
+@pytest.mark.parametrize("name, param, eighs", [("fig1", 0.3, 0), ("fig1-embed", 0.3, 0), ("fig2", 1.1, 1)])
+def test_one_grid_point_takes_one_svd_of_k_one_of_the_states_and_fig2_one_eigh(monkeypatch, name, param, eighs):
+    svds, eigh = record_calls(monkeypatch, "svd"), record_calls(monkeypatch, "eigh")
+    equal_prior_report(build_scenario(name, param))
+    assert (len(svds), len(eigh)) == (2, eighs)
+
+
+def test_computational_basis_is_one_shared_read_only_object():
+    basis = computational_basis(3)
+    assert computational_basis(3) is basis and build_scenario("fig2", 1.0).basis is computational_basis(2)
+    assert np.array_equal(basis.psi, np.eye(3)) and not basis.psi.flags.writeable
+    with pytest.raises(ValueError):
+        basis.psi.setflags(write=True)
