@@ -70,7 +70,9 @@ class PovmSet(linalg._Immutable):
     :func:`rank_one_povm` builds the factored form, ``stack = None``: the rows
     ``vectors`` ``v_i`` and ``weights`` ``w_i`` (``None`` when every ``w_i`` is 1)
     of ``F_i = w_i |v_i><v_i|``, and ``inconclusive``.  ``operators`` is the
-    read-only dense stack; a factored POVM builds it anew on each access.
+    read-only dense stack; a factored POVM builds it anew on each access.  Its ``svd``
+    is that of the factor ``M`` with rows ``sqrt(w_i) v_i^dag`` (``M^dag M = I - F_{N+1}``),
+    filled by a builder that knows it, else taken on first read; ``None`` for a stack.
     """
 
     dim: int
@@ -96,6 +98,12 @@ class PovmSet(linalg._Immutable):
     @property
     def operators(self) -> np.ndarray:
         return _dyad_stack(self) if self.stack is None else self.stack
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        if self.stack is None:  # a dense stack has no factor, and no svd
+            m = self.vectors.conj()
+            return linalg.thin_svd(m if self.weights is None else np.sqrt(self.weights)[:, None] * m)
 
 
 def _fill(p: PovmSet, **fields) -> PovmSet:
@@ -218,6 +226,7 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
     positive exactly when ``lambda <= sigma_min(A)^2`` and, at that weight,
     to round-off below ``cond_max``.  The POVM is factored (:func:`rank_one_povm`):
     the duals as ``vectors``, the ``lambda_i`` as ``weights`` and the completion.
+    Then ``svd`` is read off ``s.svd``: ``M = sigma_min D^dag = V (sigma_min S^{-1}) U^dag``.
 
     Raises
     ------
@@ -248,7 +257,11 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
                 limit=float(limit[bad[0]]),
             )
     p = rank_one_povm(duals.T, linalg._freeze(lambdas))
-    if weights is not None:
+    if weights is None:  # M's singular values s_min / s_i reversed to descend: the largest is 1
+        u, sv, vh = s.svd
+        m_svd = np.conjugate(vh[::-1].T, order="C"), sv[-1] / sv[::-1], np.conjugate(u[:, ::-1].T, order="C")
+        _fill(p, svd=tuple(map(linalg._freeze, m_svd)))
+    else:
         min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
         if min_eig < -ctx.psd_tol:
             raise InfeasibleScaling(

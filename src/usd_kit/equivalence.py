@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .duality import PovmSet, StateSet, rank_one_povm, rank_one_rule
-from .duality import _dyad_norms, _rank_one_verdicts, _state_set
+from .duality import _dyad_norms, _fill, _rank_one_verdicts, _state_set
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
@@ -34,7 +34,8 @@ class LossyEvolution(linalg._Immutable):
     """Evolution operator with its one SVD ``svd = (U, s, V^dag)``, ``sv = s``.
 
     The passiveness check, :func:`discriminable_states` and :func:`dilate_unitary`
-    read ``svd``.  ``passive`` means ``s[0] <= 1 + eq_tol``: K never amplifies.
+    read ``svd``; :func:`lossy_from_povm` and :func:`normalize_passive` derive it from
+    an SVD they already hold.  ``passive`` means ``s[0] <= 1 + eq_tol``: K never amplifies.
     """
 
     k: np.ndarray
@@ -77,6 +78,17 @@ def computational_basis(n: int) -> ProjectiveBasis:
 def _passive(top: float, ctx: ToleranceContext) -> bool:
     """The passiveness rule for the largest singular value ``top``, written once."""
     return bool(top <= 1.0 + ctx.eq_tol)
+
+
+def _check_basis(basis: ProjectiveBasis, n: int, what: str = "operator") -> None:
+    if basis.dim != n:
+        raise DimensionMismatch(f"basis dimension {basis.dim} does not match {what} dimension {n}")
+
+
+def _require_passive(le: LossyEvolution, why: str) -> None:
+    if not le.passive:
+        top = float(le.sv[0])
+        raise NotPassive(f"operator has spectral norm {top!r} > 1; {why}", spectral_norm=top)
 
 
 def _lossy(k: np.ndarray, ctx: ToleranceContext, svd=None) -> LossyEvolution:
@@ -132,19 +144,13 @@ def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
     most one by construction); the inconclusive operator is
     ``I - sum_i F_i = I - K^dag K``, positive precisely because K is passive.
     The result is factored (:func:`duality.rank_one_povm`): the rows
-    ``K^dag psi_i`` with unit weights and the completion.
+    ``K^dag psi_i`` with unit weights and the completion.  Its factor is
+    ``M = Psi^dag K``, so its ``svd`` is ``(Psi^dag U, s, V^dag)`` of ``le.svd``.
     """
-    if not le.passive:
-        raise NotPassive(
-            f"operator has spectral norm {float(le.sv[0])!r} > 1; "
-            "the completion operator would be indefinite",
-            spectral_norm=float(le.sv[0]),
-        )
-    if basis.dim != le.dim:
-        raise DimensionMismatch(
-            f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
-        )
-    return rank_one_povm(linalg._freeze((le.k.conj().T @ basis.psi).T))
+    _require_passive(le, "the completion operator would be indefinite")
+    _check_basis(basis, le.dim)
+    p = rank_one_povm(linalg._freeze((le.k.conj().T @ basis.psi).T))
+    return _fill(p, svd=(linalg._freeze(basis.psi.conj().T @ le.svd[0]), *le.svd[1:]))
 
 
 def lossy_from_povm(
@@ -163,7 +169,9 @@ def lossy_from_povm(
     reproduces every ``F_i`` within ``b_i = psd_tol * min(1, ||F_i||_F)``.
     On a factored POVM, ``F_i = w_i |v_i><v_i|``, the rows are
     ``r_i = w_i <psi_i|v_i> v_i^dag`` and ``w_i |<psi_i|v_i>|^2`` the pivot
-    weights, and every defect is zero: no operator stack is formed.
+    weights, and every defect is zero: no operator stack is formed.  There ``K = Psi Theta M``
+    for the POVM's factor ``M``, ``Theta = diag(e^{i phi_i} <psi_i|v_i> / |<psi_i|v_i>|)``:
+    K's SVD is ``(Psi Theta U, s, V^dag)`` of ``p.svd``, and no SVD of K is taken.
     K is passive (its Gram matrix is ``I - F_{N+1}``); phases never affect statistics.
 
     Raises
@@ -178,20 +186,13 @@ def lossy_from_povm(
         If a phase is not finite.
     """
     n = p.dim
-    if basis.dim != n:
-        raise DimensionMismatch(
-            f"basis dimension {basis.dim} does not match POVM dimension {n}"
-        )
-    if phases is None:
-        phi = np.zeros(n)
-    else:
-        phi = np.asarray(phases, dtype=float)
-        if phi.shape != (n,):
-            raise DimensionMismatch(f"expected {n} phases, got shape {phi.shape}")
-        bad = np.flatnonzero(~np.isfinite(phi))
-        if bad.size:
-            i = int(bad[0])
-            raise ParamOutOfRange(f"phase {i + 1} is not finite: {float(phi[i])!r}", phase=i + 1)
+    _check_basis(basis, n, "POVM")
+    phi = np.zeros(n) if phases is None else np.asarray(phases, dtype=float)
+    if phi.shape != (n,):
+        raise DimensionMismatch(f"expected {n} phases, got shape {phi.shape}")
+    bad = np.flatnonzero(~np.isfinite(phi))
+    if bad.size:
+        raise ParamOutOfRange(f"phase {bad[0] + 1} is not finite: {float(phi[bad[0]])!r}", phase=int(bad[0]) + 1)
     psi = basis.psi
     if p.stack is None:
         overlaps = np.sum(psi.conj().T * p.vectors, axis=1)  # <psi_k|v_k>
@@ -217,8 +218,12 @@ def lossy_from_povm(
     bad = np.flatnonzero(~passed)
     if bad.size:
         raise RankMismatch(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
-    coefficients = np.exp(1j * phi) / np.sqrt(weights)
-    return _lossy(linalg._freeze(linalg.as_matrix(psi @ (coefficients[:, None] * rows), "operator")), ctx)
+    rotations = np.exp(1j * phi)
+    k = linalg._freeze(linalg.as_matrix(psi @ ((rotations / np.sqrt(weights))[:, None] * rows), "operator"))
+    if p.stack is not None:
+        return _lossy(k, ctx)
+    u, s, vh = p.svd  # Theta = e^{i phi} o / |o| for the overlaps o
+    return _lossy(k, ctx, (linalg._freeze(psi @ ((rotations * overlaps / np.abs(overlaps))[:, None] * u)), s, vh))
 
 
 def dyadic_form(
@@ -235,10 +240,7 @@ def dyadic_form(
     degenerates.
     """
     linalg.check_invertible(le.sv, ctx)  # raises SingularMatrix when K is not invertible
-    if basis.dim != le.dim:
-        raise DimensionMismatch(
-            f"basis dimension {basis.dim} does not match operator dimension {le.dim}"
-        )
+    _check_basis(basis, le.dim)
     betas, phases = linalg.phase_columns(np.asarray(le.k).conj().T @ basis.psi, ctx)
     return list(zip(phases.conj(), basis.psi.T.copy(), betas.T))
 
@@ -254,6 +256,7 @@ def discriminable_states(
     normalized to unit length; feeding state i through K leaves no component
     on any other basis vector, which is what makes error-free discrimination possible.
     """
+    _check_basis(basis, le.dim)
     u, sv, vh = le.svd
     linalg.check_invertible(sv, ctx)
     raw = (vh.conj().T / sv) @ (u.conj().T @ basis.psi)
@@ -270,12 +273,7 @@ def dilate_unitary(le: LossyEvolution) -> np.ndarray:
     share K's singular vectors and the off-diagonal blocks of ``U'U`` cancel
     to round-off even when K sits on the passiveness boundary.
     """
-    if not le.passive:
-        raise NotPassive(
-            f"operator has spectral norm {float(le.sv[0])!r} > 1; "
-            "only passive operators embed in a unitary",
-            spectral_norm=float(le.sv[0]),
-        )
+    _require_passive(le, "only passive operators embed in a unitary")
     n = le.dim
     left, s, right_h = le.svd
     defect = np.sqrt(np.maximum((1.0 - s) * (1.0 + s), 0.0))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, state_set, validate_povm
+from .duality import PovmSet, _fill, _state_set, validate_povm
 from .discrimination import StateEnsemble, state_ensemble
 from .errors import InvalidPovm, ParseError
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -184,7 +184,7 @@ def ensemble_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble
     priors = _floats(priors, (len(priors),)) if isinstance(priors, list) else None
     if priors is None:
         raise ParseError("ensemble: priors must be a list of finite numbers")
-    return state_ensemble(state_set(states.T, ctx), priors)
+    return state_ensemble(_state_set(linalg._freeze(states.T), ctx), priors)  # _pairs checked every entry
 
 
 # -- POVM documents ------------------------------------------------------------
@@ -213,9 +213,9 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     raw_ops = doc["operators"]
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
-    operators = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}")
-    operators.setflags(write=False)  # PovmSet keeps a read-only stack without a copy
-    p = PovmSet(dim=dim, operators=operators)
+    ops = linalg._freeze(_pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}"))
+    # PovmSet's fields without its checks, which _pairs has made
+    p = _fill(object.__new__(PovmSet), dim=dim, vectors=None, weights=None, inconclusive=ops[-1], stack=ops)
     if validate:
         report = validate_povm(p, ctx)
         if not report.valid:

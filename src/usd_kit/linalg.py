@@ -3,9 +3,11 @@
 All operations are pure functions over immutable numpy arrays with
 explicit, auditable tolerances.  Matrix equality is always judged in the
 Frobenius norm, never entrywise.  Every routine is backed by
-``numpy.linalg``; nothing inverts.  Singular values come from an SVD of
-the matrix itself (:func:`thin_svd`, whose factors also give ``A^{-1}``),
-never from ``K^dag K``, whose eigenvalues square the condition number.
+``numpy.linalg``; nothing inverts.  Singular values come from one SVD per
+state set or operator (:func:`thin_svd`, whose factors also give ``A^{-1}``);
+a POVM and the K built from it inherit that SVD through exact unitary and
+diagonal factors, never through ``K^dag K``, whose eigenvalues square the
+condition number.
 """
 
 from __future__ import annotations

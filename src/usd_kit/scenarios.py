@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,13 @@ def tight_binding_hamiltonian() -> np.ndarray:
     """Unit nearest-coupling Hamiltonian of three symmetric waveguides; another
     coupling ``a`` would only rescale the propagation length ``z`` to ``a z``."""
     return 1.0 - linalg._identity(3)
+
+
+@lru_cache(maxsize=None)
+def _waveguide_modes() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only eigenvalues and eigenvectors of :func:`tight_binding_hamiltonian`, checked
+    once: its Hermiticity residual is exactly 0, so every tolerance context accepts it."""
+    return tuple(map(linalg._freeze, linalg._hermitian_eigen(tight_binding_hamiltonian(), DEFAULT_TOL)))
 
 
 def _check_gamma(gamma: float) -> float:
@@ -97,7 +105,8 @@ def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
     if not math.isfinite(z):
         raise ParamOutOfRange(f"z must be finite, got {z!r}")
     z = math.fmod(z, 2.0 * math.pi)
-    full_u = linalg.unitary_exp(tight_binding_hamiltonian(), z, ctx)
+    w, v = _waveguide_modes()
+    full_u = (v * np.exp(-1j * w * z)) @ v.conj().T  # linalg.unitary_exp, the Hamiltonian's modes cached
     k = reduced_evolution(full_u, 2, ctx)
     basis = computational_basis(2)
     states = discriminable_states(k, basis, ctx)

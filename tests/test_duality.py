@@ -17,7 +17,14 @@ from usd_kit.duality import (
     validate_povm,
 )
 from usd_kit.duality import PovmSet
-from usd_kit.equivalence import computational_basis, lossy_from_povm
+from usd_kit.equivalence import (
+    computational_basis,
+    dilate_unitary,
+    lossy_from_povm,
+    make_lossy,
+    povm_from_lossy,
+    projective_basis,
+)
 from usd_kit.errors import (
     DimensionMismatch,
     InfeasibleScaling,
@@ -379,6 +386,28 @@ def test_state_set_and_build_share_one_svd(monkeypatch):
     build_usd_povm(state_set(m / np.linalg.norm(m, axis=0)))
     assert calls == [(8, 8)]  # the condition check, the duals and the weight read it
     assert inverses == []
+
+
+def test_usd_pipeline_takes_one_svd_and_one_eigensolve(monkeypatch):
+    m = random_complex(np.random.default_rng(5), 64)
+    svds, eigs = record_calls(monkeypatch, "svd"), record_calls(monkeypatch, "eigvalsh")
+    s = state_set(m / np.linalg.norm(m, axis=0))
+    povm = build_usd_povm(s)
+    validate_povm(povm)
+    basis = computational_basis(64)
+    le = lossy_from_povm(povm, basis)
+    usd_report(state_ensemble(s, np.full(64, 1 / 64)), povm_from_lossy(le, basis))
+    dilate_unitary(le)
+    assert svds == [(64, 64)] and eigs == [(64, 64)]  # K and both POVMs inherit the states' SVD
+
+
+def test_round_trip_through_a_povm_takes_no_svd(monkeypatch):
+    le = make_lossy(random_complex(np.random.default_rng(6), 8) / 10.0)
+    basis = projective_basis(np.linalg.qr(random_complex(np.random.default_rng(7), 8))[0])
+    svds = record_calls(monkeypatch, "svd")
+    back = lossy_from_povm(povm_from_lossy(le, basis), basis, np.linspace(-3.0, 3.0, 8))
+    assert svds == []
+    assert np.allclose(back.sv, le.sv, rtol=0.0, atol=1e-14)
 
 
 # -- the blocked stack pass against a per-operator reference ------------------------

@@ -16,6 +16,7 @@ from usd_kit.equivalence import (
 )
 from usd_kit.errors import (
     DegenerateBasisAlignment,
+    DimensionMismatch,
     GammaTooSmall,
     NotHermitian,
     NotPassive,
@@ -251,6 +252,11 @@ def test_discriminable_states_fig2_map_to_basis_rays():
     s = discriminable_states(le, computational_basis(2))
     out = np.asarray(le.k) @ np.asarray(s.states)
     assert abs(out[1, 0]) < 1e-12 and abs(out[0, 1]) < 1e-12
+
+
+def test_discriminable_states_reject_a_basis_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="basis dimension 3 does not match operator dimension 2"):
+        discriminable_states(make_lossy(np.eye(2) / 2.0), computational_basis(3))
 
 
 def test_discriminable_states_take_no_second_factorization(monkeypatch):

@@ -113,3 +113,5 @@ def test_results_stay_read_only_through_copy_deepcopy_and_pickle():
         assert arrays and not any(a.flags.writeable for a in arrays), type(result).__name__
         assert all(np.array_equal(a, b) for a, b in zip(arrays, _arrays(result)))
     assert "svd" in vars(pickle.loads(pickle.dumps(s)))  # the cached SVD travels with the set
+    svd = vars(pickle.loads(pickle.dumps(povm)))["svd"]  # and so does the built POVM's
+    assert all(not a.flags.writeable and np.array_equal(a, b) for a, b in zip(svd, povm.svd))

@@ -47,7 +47,7 @@ from usd_kit.errors import (
     RankMismatch,
     UsdKitError,
 )
-from usd_kit.linalg import DEFAULT_TOL, orthonormal_frame, sv_condition
+from usd_kit.linalg import DEFAULT_TOL, check_unitary, orthonormal_frame, sv_condition
 
 from helpers import first_weight, log_spaced_states, oracle_report, random_complex, random_unitary
 
@@ -280,6 +280,37 @@ def test_dilation_of_a_boundary_operator_is_unitary(seed):
         u = dilate_unitary(le)
         assert np.linalg.norm(u.conj().T @ u - np.eye(2 * n)) <= 1e-10
         assert np.array_equal(u[:n, :n], np.asarray(le.k))
+
+
+def assert_svd_of(svd, m: np.ndarray, c: float = 4.0) -> None:
+    """``svd = (U, s, V^dag)`` is an SVD of ``m`` to ``c N eps``: it reconstructs ``m``,
+    its factors pass the unitarity rule and ``s`` descends to LAPACK's values."""
+    u, s, vh = svd
+    bound = c * len(s) * np.finfo(float).eps
+    assert np.linalg.norm((u * s) @ vh - m) <= bound
+    check_unitary(u, DEFAULT_TOL, "U")
+    check_unitary(vh.conj().T, DEFAULT_TOL, "V")
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.max(np.abs(s - np.linalg.svd(m, compute_uv=False))) <= bound
+
+
+@PROPERTY
+@given(dim=st.sampled_from([2, 8, 32, 64]), seed=SEEDS, log_cond=st.floats(0.0, 11.0))
+@example(dim=2, seed=0, log_cond=11.0)
+@example(dim=64, seed=0, log_cond=11.0)
+def test_inherited_svd_is_an_svd_of_k(dim, seed, log_cond):
+    rng = np.random.default_rng(seed)
+    povm = build_usd_povm(state_set(log_spaced_states(rng, dim, log_cond)))  # cond <= 1.5e11
+    le = lossy_from_povm(povm, computational_basis(dim), rng.uniform(-np.pi, np.pi, dim))
+    # s = sigma_min / sigma_i: the largest is exactly 1 at the default weight.
+    # LAPACK's own values of the rounded K differ from it by up to about 2 N eps at N = 2.
+    assert le.sv[0] == 1.0
+    assert_svd_of(le.svd, le.k)
+    assert_svd_of(povm.svd, np.sqrt(povm.weights)[:, None] * povm.vectors.conj())
+    basis = projective_basis(random_unitary(rng, dim))
+    assert_svd_of(povm_from_lossy(le, basis).svd, basis.psi.conj().T @ le.k)
+    u = dilate_unitary(le)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(2 * dim)) <= 1e-10
 
 
 @PROPERTY

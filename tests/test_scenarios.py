@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from usd_kit import linalg
+from usd_kit import linalg, scenarios
 from usd_kit.discrimination import state_ensemble, usd_report
 from usd_kit.equivalence import computational_basis, inconclusive_rank, povm_from_lossy, reduced_evolution
 from usd_kit.errors import ParamOutOfRange
@@ -10,6 +12,7 @@ from usd_kit.scenarios import (
     fig1_as_embedding,
     fig1_scenario,
     fig2_scenario,
+    tight_binding_hamiltonian,
 )
 
 from helpers import FIG1_AMPLITUDE, fig1_k, fig1_states, fig2_propagator_closed_form, record_calls
@@ -217,11 +220,22 @@ def test_build_scenario_dispatch():
 
 # -- work per grid point --------------------------------------------------------
 
-@pytest.mark.parametrize("name, param, eighs", [("fig1", 0.3, 0), ("fig1-embed", 0.3, 0), ("fig2", 1.1, 1)])
-def test_one_grid_point_takes_one_svd_of_k_one_of_the_states_and_fig2_one_eigh(monkeypatch, name, param, eighs):
+@pytest.mark.parametrize("name, param", [("fig1", 0.3), ("fig1-embed", 0.3), ("fig2", 1.1)])
+def test_one_grid_point_takes_one_svd_of_k_one_of_the_states_and_no_eigh(monkeypatch, name, param):
+    build_scenario(name, param)  # fig2 eigensolves its constant Hamiltonian on first use only
     svds, eigh = record_calls(monkeypatch, "svd"), record_calls(monkeypatch, "eigh")
     equal_prior_report(build_scenario(name, param))
-    assert (len(svds), len(eigh)) == (2, eighs)
+    assert (len(svds), len(eigh)) == (2, 0)
+
+
+def test_fig2_eigensolves_its_hamiltonian_once_and_keeps_unitary_exp_bits(monkeypatch):
+    scenarios._waveguide_modes.cache_clear()
+    eigh = record_calls(monkeypatch, "eigh")
+    for z in (0.4, 1.1, -7.3):
+        u = fig2_scenario(z).full_unitary
+        assert np.array_equal(u, linalg.unitary_exp(tight_binding_hamiltonian(), math.fmod(z, 2.0 * math.pi)))
+    assert eigh == [(3, 3)] * 4  # the cached modes, then one per unitary_exp reference
+    assert not any(a.flags.writeable for a in scenarios._waveguide_modes())
 
 
 def test_computational_basis_is_one_shared_read_only_object():
