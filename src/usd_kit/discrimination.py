@@ -137,9 +137,8 @@ def _probability_rule(probs: np.ndarray, totals: np.ndarray, ctx: ToleranceConte
 
 def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext) -> np.ndarray:
     if e.dim != p.dim:
-        raise DimensionMismatch(
-            f"ensemble dimension {e.dim} does not match POVM dimension {p.dim}"
-        )
+        raise DimensionMismatch(f"ensemble dimension {e.dim} does not match POVM dimension {p.dim}",
+                                ensemble_dim=e.dim, povm_dim=p.dim)
     a, ops = e.states.states, p.stack
     n, count = a.shape
     bra = a.conj()
@@ -166,10 +165,8 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     a dense stack is read in blocks of at most ``BLOCK_BYTES`` (256 KiB).
     """
     if e.count != p.dim:
-        raise DimensionMismatch(
-            f"report needs one detection operator per state: {e.count} states, "
-            f"{p.dim} detection operators"
-        )
+        raise DimensionMismatch(f"report needs one detection operator per state: {e.count} states, "
+                                f"{p.dim} detection operators", states=e.count, detection_operators=p.dim)
     probs = _per_state_probabilities(e, p, ctx)
     n = e.count
     success = probs.diagonal().copy()

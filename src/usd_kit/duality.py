@@ -36,9 +36,10 @@ BLOCK_BYTES = 2**18
 class StateSet(linalg._Immutable):
     """Unit-norm state vectors stored as the columns of ``states``.
 
-    ``dim`` is the dimension of the carrier space; the number of columns
-    may be smaller (see :func:`subspace_reduce`) but never larger.  One thin
-    SVD ``svd = (U, s, V^dag)``, ``sv = s``, feeds the condition check, duals and weight.
+    ``dim`` is the dimension of the carrier space; the number of columns L
+    may be smaller, but never larger: :func:`subspace_reduce` carries such a set
+    to C^L.  One thin SVD ``svd = (U, s, V^dag)``, ``sv = s``, feeds the condition
+    check, duals, weight and that reduction.
     """
 
     dim: int
@@ -432,22 +433,17 @@ def check_density_matrix(rho, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray
     return m
 
 
-def subspace_reduce(
-    s: StateSet, ctx: ToleranceContext = DEFAULT_TOL
-) -> tuple[StateSet, np.ndarray]:
-    """Rotate L <= dim states into the leading L coordinates.
+def subspace_reduce(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[StateSet, np.ndarray]:
+    """L states in C^N as a set in C^L, with the ``N x L`` isometry ``U`` that maps it back.
 
-    Returns the rotated state set together with the unitary rotation that
-    was applied: the adjoint of :func:`linalg.orthonormal_frame` of the
-    states.  Overlaps are preserved exactly (the rotation is unitary) and
-    components beyond coordinate L vanish within ``eq_tol``.
+    Both read the one SVD ``A = U S V^dag``: the reduced states are ``U^dag A = S V^dag``,
+    so ``A = U @ reduced.states``, the overlaps are kept, and :func:`dual_set` and
+    :func:`build_usd_povm` accept the set.
 
     Raises
     ------
-    RankDeficient
-        When the states are not linearly independent.
+    SingularStates
+        When the states are linearly dependent within ``cond_max``.
     """
-    rotation = linalg.orthonormal_frame(s.states, ctx).conj().T
-    rotated = rotation @ s.states
-    reduced = StateSet(dim=s.dim, states=linalg.frozen(rotated))
-    return reduced, linalg.frozen(rotation)
+    u, sv, vh = s.svd
+    return _state_set(linalg._freeze(sv[:, None] * vh), ctx), u

@@ -302,9 +302,7 @@ def reduced_evolution(
             f"subspace dimension {subspace_dim} out of range for size {n}"
         )
     le = _lossy(linalg.frozen(um[:subspace_dim, :subspace_dim]), ctx)
-    if not le.passive:
-        top = float(le.sv[0])
-        raise NotPassive(f"submatrix has spectral norm {top!r} > 1", spectral_norm=top)
+    _require_passive(le, "a block of a unitary stretches no direction")
     return le
 
 

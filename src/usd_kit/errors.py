@@ -97,10 +97,6 @@ class GammaTooSmall(NumericError):
     code = "gamma_too_small"
 
 
-class RankDeficient(NumericError):
-    code = "rank_deficient"
-
-
 class DegenerateBasisAlignment(NumericError):
     code = "degenerate_basis_alignment"
 

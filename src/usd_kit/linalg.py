@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .errors import (
     NotPositive,
     NotUnitary,
     ParamOutOfRange,
-    RankDeficient,
     SingularMatrix,
 )
 
@@ -74,8 +74,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class _Immutable:
-    """Base of the result dataclasses, whose arrays are read-only: ``copy`` and
-    ``deepcopy`` return the object itself, and unpickling freezes every array again."""
+    """Base of the result dataclasses, whose arrays and mappings are read-only: ``copy``
+    and ``deepcopy`` return the object itself, a read-only mapping pickles as a dict,
+    and unpickling freezes every array and wraps every dict again."""
 
     def __copy__(self):
         return self
@@ -83,11 +84,16 @@ class _Immutable:
     def __deepcopy__(self, memo: dict):
         return memo.setdefault(id(self), self)
 
+    def __getstate__(self) -> dict:
+        return {key: dict(v) if isinstance(v, MappingProxyType) else v for key, v in vars(self).items()}
+
     def __setstate__(self, state: dict) -> None:
-        for value in state.values():  # an array, or a tuple of them such as an SVD
+        for key, value in state.items():  # an array, a tuple of them such as an SVD, or a dict
             for item in value if isinstance(value, tuple) else (value,):
                 if isinstance(item, np.ndarray):
                     _freeze(item)
+            if isinstance(value, dict):
+                state[key] = MappingProxyType(value)
         self.__dict__.update(state)
 
 
@@ -259,28 +265,3 @@ def phase_columns(m: np.ndarray, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[n
     pivots = np.where(big.any(axis=0), m[big.argmax(axis=0), np.arange(m.shape[1])], 1.0)
     phases = pivots / np.abs(pivots)
     return m * phases.conj(), phases
-
-
-def orthonormal_frame(vectors, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Unitary ``n x n`` frame from one Householder QR of the ``n x L`` columns.
-
-    For every ``k <= L`` the first ``k`` frame columns span the first ``k``
-    input columns; the trailing ``n - L`` columns complete the frame.  Each
-    column is phased by :func:`phase_columns`, so results are deterministic.
-
-    Raises
-    ------
-    RankDeficient
-        When column ``j`` is (numerically) linearly dependent on its
-        predecessors, ``|R_jj| <= eq_tol * max(||m_j||, 1)``, or ``L > n``.
-    """
-    m = as_matrix(vectors, "vectors")
-    n, cols = m.shape
-    q, r = np.linalg.qr(m, mode="complete")
-    diag = np.abs(np.diagonal(r))
-    norms = np.maximum(np.linalg.norm(m[:, : diag.size], axis=0), 1.0)
-    dependent = np.flatnonzero(diag <= ctx.eq_tol * norms)
-    if dependent.size or cols > n:
-        j = int(dependent[0]) if dependent.size else n
-        raise RankDeficient(f"column {j} is linearly dependent on earlier columns", column=j)
-    return phase_columns(q, ctx)[0]

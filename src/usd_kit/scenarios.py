@@ -9,8 +9,10 @@ by a beam splitter, embedding the lossy two-port in a four-port unitary.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +37,7 @@ class Scenario(linalg._Immutable):
     k: LossyEvolution
     basis: ProjectiveBasis
     input_states: StateSet
-    expected: dict[str, float]
+    expected: Mapping[str, float]  # read-only
     full_unitary: np.ndarray | None = None
 
 
@@ -71,12 +73,12 @@ def fig1_scenario(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario
     basis = computational_basis(2)
     states = discriminable_states(k, basis, ctx)
     norm_sq = 1.0 + g * g
-    expected = {
+    expected = MappingProxyType({
         "output_amplitude": math.sqrt(2.0) * g / math.sqrt(norm_sq),
         "success_per_state": 2.0 * g * g / norm_sq,
         "inconclusive": (1.0 - g * g) / norm_sq,
         "overlap": (1.0 - g * g) / norm_sq,
-    }
+    })
     return Scenario(name="fig1", k=k, basis=basis, input_states=states, expected=expected)
 
 
@@ -119,13 +121,13 @@ def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
     col_norm_sq = (abs(diag) ** 2 + abs(off) ** 2) / abs(det) ** 2
     beta = 1.0 / math.sqrt(col_norm_sq)
     overlap = abs(2.0 * (diag.conjugate() * -off).real) / (abs(diag) ** 2 + abs(off) ** 2)
-    expected = {
+    expected = MappingProxyType({
         "beta_magnitude": beta,
         "success_per_state": beta * beta,
         "inconclusive": 1.0 - beta * beta,
         "overlap": overlap,
         "spectral_norm": 1.0,
-    }
+    })
     return Scenario(
         name="fig2",
         k=k,
@@ -145,8 +147,7 @@ def fig1_as_embedding(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scen
     """
     base = fig1_scenario(gamma, ctx)
     full_u = dilate_unitary(base.k)
-    expected = dict(base.expected)
-    expected["ancilla_mass"] = expected["inconclusive"]
+    expected = MappingProxyType({**base.expected, "ancilla_mass": base.expected["inconclusive"]})
     return replace(base, name="fig1-embed", expected=expected, full_unitary=linalg._freeze(full_u))
 
 

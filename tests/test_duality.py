@@ -33,7 +33,6 @@ from usd_kit.errors import (
     InvalidPovm,
     InvalidStateSet,
     ParamOutOfRange,
-    RankDeficient,
     RankMismatch,
     SingularMatrix,
     SingularStates,
@@ -633,22 +632,32 @@ def test_subspace_reduce_two_states_in_three_dims():
         [[1.0, 0.0, 0.0], np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)]
     )
     s = state_set(states)
-    reduced, rotation = subspace_reduce(s)
+    reduced, u = subspace_reduce(s)
     out = np.asarray(reduced.states)
-    assert np.max(np.abs(out[2, :])) < 1e-12
-    before = states[:, 0].conj() @ states[:, 1]
-    after = out[:, 0].conj() @ out[:, 1]
-    assert abs(before - after) < 1e-12
+    assert reduced.dim == reduced.count == 2
+    assert frob(out.conj().T @ out - states.conj().T @ states) < 1e-12
+    assert frob(u @ out - states) < 1e-12
 
 
 def test_subspace_reduce_preserves_overlaps():
     rng = np.random.default_rng(73)
     s = random_state_set(rng, 5, count=3)
+    reduced, u = subspace_reduce(s)
+    a, out = np.asarray(s.states), np.asarray(reduced.states)
+    assert reduced.dim == reduced.count == 3
+    assert frob(a.conj().T @ a - out.conj().T @ out) < 1e-10
+    assert frob(u @ out - a) < 1e-10
+
+
+@pytest.mark.parametrize("dim, count", [(2, 1), (3, 2), (5, 3), (64, 40)])
+def test_fewer_states_than_dimensions_reach_a_usd_povm(dim, count):
+    s = random_state_set(np.random.default_rng(100 * dim + count), dim, count)
     reduced, _ = subspace_reduce(s)
-    gram_in = np.asarray(s.states).conj().T @ np.asarray(s.states)
-    gram_out = np.asarray(reduced.states).conj().T @ np.asarray(reduced.states)
-    assert frob(gram_in - gram_out) < 1e-10
-    assert np.max(np.abs(np.asarray(reduced.states)[3:, :])) < 1e-10
+    povm = build_usd_povm(reduced)
+    assert validate_povm(povm).valid
+    report = usd_report(state_ensemble(reduced, np.full(count, 1.0 / count)), povm)
+    assert np.abs(report.per_state_success - s.sv[-1] ** 2).max() <= 1e-12
+    assert np.abs(report.error_matrix).max() <= 1e-12
 
 
 def test_state_set_built_directly_checks_its_matrix_before_the_svd():
@@ -658,7 +667,8 @@ def test_state_set_built_directly_checks_its_matrix_before_the_svd():
 
 def test_subspace_reduce_dependent_states():
     column = np.array([1.0, 0.0, 0.0])
-    # bypass the factory to exercise the operation's own rank check
+    # bypass the factory: the reduced set's own cond_max check catches the dependence
     s = StateSet(dim=3, states=np.column_stack([column, column, column]).astype(complex))
-    with pytest.raises(RankDeficient):
+    with pytest.raises(SingularStates) as err:
         subspace_reduce(s)
+    assert err.value.context["condition_number"] > DEFAULT_TOL.cond_max

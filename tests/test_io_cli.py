@@ -607,6 +607,26 @@ def test_cli_discriminate_with_k(tmp_path, capsys):
     assert abs(doc["report"]["total_inconclusive"] - 0.6) < 1e-10
 
 
+def test_cli_discriminate_count_and_dimension_errors_name_the_numbers(tmp_path, capsys):
+    ensemble_path = tmp_path / "two_in_three.json"
+    k_path, povm_path = tmp_path / "k.json", tmp_path / "povm.json"
+    io.write_json(ensemble_path, io.ensemble_doc(state_ensemble(state_set(np.eye(3)[:, :2]), [0.5, 0.5])))
+    io.write_json(k_path, io.matrix_doc(np.eye(3)))
+    io.write_json(povm_path, fig1_povm_doc())
+    assert main(["discriminate", "--ensemble", str(ensemble_path), "--k", str(k_path)]) == 2
+    assert one_envelope(capsys.readouterr().err) == {
+        "code": "dimension_mismatch",
+        "message": "report needs one detection operator per state: 2 states, 3 detection operators",
+        "context": {"states": 2, "detection_operators": 3},
+    }
+    assert main(["discriminate", "--ensemble", str(ensemble_path), "--povm", str(povm_path)]) == 2
+    assert one_envelope(capsys.readouterr().err) == {
+        "code": "dimension_mismatch",
+        "message": "ensemble dimension 3 does not match POVM dimension 2",
+        "context": {"ensemble_dim": 3, "povm_dim": 2},
+    }
+
+
 def test_cli_discriminate_trials_byte_identical(tmp_path, capsys):
     k_path, ensemble_path = write_fig1_files(tmp_path)
     argv = [

@@ -6,7 +6,6 @@ from usd_kit.errors import (
     NotHermitian,
     NotPositive,
     ParamOutOfRange,
-    RankDeficient,
     SingularMatrix,
 )
 
@@ -222,39 +221,3 @@ def test_psd_sqrt_squares_back():
     f = g @ g.conj().T
     root = linalg.psd_sqrt(f)
     assert frob(root @ root - f) <= 1e-10 * frob(f)
-
-
-# -- Gram-Schmidt: the leading columns of orthonormal_frame -------------------------
-
-def test_gram_schmidt_orthonormal_fixed_point():
-    rng = np.random.default_rng(31)
-    u = random_unitary(rng, 4)
-    out = linalg.orthonormal_frame(u)
-    # same columns up to the first-entry-real-positive phase convention
-    for j in range(4):
-        assert abs(abs(u[:, j].conj() @ out[:, j]) - 1.0) < 1e-12
-        pivot = out[np.flatnonzero(np.abs(out[:, j]) > 1e-10)[0], j]
-        assert pivot.real > 0 and abs(pivot.imag) < 1e-12
-
-
-def test_gram_schmidt_two_vectors():
-    m = np.column_stack([[1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2.0)])
-    out = linalg.orthonormal_frame(m)
-    assert frob(out - np.eye(2)) < 1e-12
-
-
-def test_gram_schmidt_rank_deficient():
-    m = np.column_stack([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(RankDeficient):
-        linalg.orthonormal_frame(m)
-
-
-def test_gram_schmidt_preserves_leading_spans():
-    rng = np.random.default_rng(37)
-    m = random_complex(rng, 6, 4)
-    q = linalg.orthonormal_frame(m)[:, :4]
-    assert frob(q.conj().T @ q - np.eye(4)) < 1e-12
-    for j in range(4):
-        lead = q[:, : j + 1]
-        residual = m[:, j] - lead @ (lead.conj().T @ m[:, j])
-        assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(m[:, j])

@@ -4,8 +4,10 @@ import pickle
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import usd_kit
+from usd_kit.errors import UsdKitError
 
 # The public surface, one name per identity.  A change to it is deliberate:
 # edit this list and record the change in CHANGES.md.
@@ -79,6 +81,21 @@ def test_every_parameter_is_read():
     assert dead == []
 
 
+def test_every_error_type_is_raised():
+    # A leaf error type that nothing raises is dead surface: callers catch it and nothing comes.
+    def leaves(cls):
+        subs = cls.__subclasses__()
+        return [leaf for sub in subs for leaf in leaves(sub)] if subs else [cls.__name__]
+
+    raised = set()
+    for path in Path(usd_kit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert sorted(set(leaves(UsdKitError)) - raised) == []
+
+
 def _arrays(obj):
     """Every array reachable from ``obj`` through attributes, tuples, lists and dicts."""
     if isinstance(obj, np.ndarray):
@@ -112,6 +129,11 @@ def test_results_stay_read_only_through_copy_deepcopy_and_pickle():
         arrays = _arrays(back)
         assert arrays and not any(a.flags.writeable for a in arrays), type(result).__name__
         assert all(np.array_equal(a, b) for a, b in zip(arrays, _arrays(result)))
+    for scenario in (usd_kit.build_scenario(name, 0.5) for name in ("fig1", "fig2", "fig1-embed")):
+        for result in (scenario, copy.deepcopy(scenario), pickle.loads(pickle.dumps(scenario))):
+            with pytest.raises(TypeError):
+                result.expected["overlap"] = 0.0
+        assert scenario.expected["overlap"] > 0.0
     assert "svd" in vars(pickle.loads(pickle.dumps(s)))  # the cached SVD travels with the set
     svd = vars(pickle.loads(pickle.dumps(povm)))["svd"]  # and so does the built POVM's
     assert all(not a.flags.writeable and np.array_equal(a, b) for a, b in zip(svd, povm.svd))
