@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, StateSet, _blocks, check_density_matrix
+from .duality import PovmSet, StateSet, check_density_matrix
 from .errors import (
     DimensionMismatch,
     InvalidEnsemble,
@@ -147,11 +147,9 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext
         probs = np.concatenate([hits if p.weights is None else p.weights[:, None] * hits,
                                 (bra * (p.inconclusive @ a)).sum(axis=0, keepdims=True).real]).T
     else:
-        # probs[i, j] = <alpha_i|F_j|alpha_i>, one block of operators at a time as
-        # one (b N, N) @ (N, count) product, so no temporary is larger than
-        # BLOCK_BYTES (256 KiB) however large the POVM.
-        probs = np.concatenate([np.sum(bra * (ops[s].reshape(-1, n) @ a).reshape(-1, n, count), axis=1).real
-                                for s in _blocks(ops)]).T
+        # probs[i, j] = <alpha_i|F_j|alpha_i>: one (M N, N) @ (N, count) product, times the bras in place
+        fa = (ops.reshape(-1, n) @ a).reshape(-1, n, count)
+        probs = np.sum(np.multiply(bra, fa, out=fa), axis=1).real.T
     return _probability_rule(probs, (bra * a).real.sum(axis=0), ctx)
 
 
@@ -162,7 +160,7 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     state, and ``InvalidPovm`` when the outcome probabilities break
     :func:`_probability_rule` under ``ctx``, which a valid POVM never does.
     A factored POVM gives them as ``w_j |<v_j|a_i>|^2`` and ``<a_i|F_{N+1}|a_i>``;
-    a dense stack is read in blocks of at most ``BLOCK_BYTES`` (256 KiB).
+    a dense stack is read in one vectorized pass, with temporaries of about one stack.
     """
     if e.count != p.dim:
         raise DimensionMismatch(f"report needs one detection operator per state: {e.count} states, "

@@ -26,11 +26,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, ToleranceContext
 
-# The stack passes walk an (M, N, N) operator stack in blocks of as many
-# N x N complex operators as fit in 256 KiB: the whole stack up to N = 25,
-# 4 operators at N = 64.  No temporary of a pass is larger than one block.
-BLOCK_BYTES = 2**18
-
 
 @dataclass(frozen=True)
 class StateSet(linalg._Immutable):
@@ -166,9 +161,9 @@ def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
     return _state_set(linalg.frozen(linalg.as_matrix(states, "states")), ctx)
 
 
-def _state_set(m: np.ndarray, ctx: ToleranceContext) -> StateSet:
+def _state_set(m: np.ndarray, ctx: ToleranceContext, svd=None) -> StateSet:
     """The checks of :func:`state_set` on a finite read-only complex matrix that
-    no caller writes: the set keeps it, and its one SVD, as they are."""
+    no caller writes: the set keeps it, and its one SVD (``svd``, else taken here), as they are."""
     dim, count = m.shape
     if count == 0 or count > dim:
         raise InvalidStateSet(
@@ -182,7 +177,7 @@ def _state_set(m: np.ndarray, ctx: ToleranceContext) -> StateSet:
             worst_norm_deviation=worst,
         )
     s = StateSet(dim=dim, states=m)
-    s.__dict__["svd"] = linalg.thin_svd(m)  # the cached_property's slot
+    s.__dict__["svd"] = linalg.thin_svd(m) if svd is None else svd  # the cached_property's slot
     cond = linalg.sv_condition(s.sv)
     if cond > ctx.cond_max:
         raise SingularStates("states are linearly dependent within tolerance", condition_number=cond)
@@ -283,15 +278,8 @@ def diagonal_pivot(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f[k, j], diag[k, j]
 
 
-def _blocks(ops: np.ndarray) -> list[slice]:
-    """Slices of the stack ``ops``, each as many operators as fit in ``BLOCK_BYTES``."""
-    m, n = ops.shape[:2]
-    step = max(1, BLOCK_BYTES // (16 * n * n))
-    return [slice(b, b + step) for b in range(0, m, step)]
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
-    """``||x_k||_F`` of each matrix of the C-ordered complex block ``x``, bit
+    """``||x_k||_F`` of each matrix of the C-ordered complex stack ``x``, bit
     for bit ``np.linalg.norm``: the same strided dot products ``re.re + im.im``."""
     v = x.reshape(len(x), 1, -1)
     re, im = v.real, v.imag
@@ -299,27 +287,24 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _stack_pass(ops: np.ndarray, rows: np.ndarray, weights: np.ndarray, psd_tol: float):
-    """One pass over the ``(M, N, N)`` stack ``ops``, block by block (:func:`_blocks`).
+    """One vectorized pass over the whole ``(M, N, N)`` stack ``ops``.
 
     Returns, for each operator ``F_k``, ``||F_k||_F``, the Hermiticity
     residual ``||F_k - F_k^dag||_F`` and the pivot defect
     ``d_k = ||F_k - r_k^dag r_k / w_k||_F``, then the :func:`rank_one_rule`
     verdicts of the first ``len(rows)`` operators.  The defect is formed only
     where the pivot is aligned; it is ``inf`` elsewhere, and no other ``w_k`` is divided by.
+    One transposed copy of the stack holds ``F_k^dag``, then the dyads: about one stack.
     """
-    norms, herm, defects = np.empty(len(ops)), np.empty(len(ops)), np.full(len(ops), np.inf)
-    for s in _blocks(ops):
-        x = ops[s]
-        norms[s] = _norms(x)
-        t = x.transpose(0, 2, 1).copy()
-        herm[s] = _norms(np.subtract(x, np.conjugate(t, out=t), out=t))
-        w = weights[s]  # shorter than the block where the pivoted operators end
-        k = np.flatnonzero(w > psd_tol * np.minimum(1.0, norms[s][: len(w)]))
-        if k.size:
-            r = rows[s][k]
-            d = r.conj()[:, :, None] * (r / w[k, None])[:, None, :]
-            defects[k + s.start] = _norms(np.subtract(x if k.size == len(x) else x[k], d, out=d))
     m = len(weights)
+    norms, defects = _norms(ops), np.full(len(ops), np.inf)
+    t = ops.transpose(0, 2, 1).copy()
+    herm = _norms(np.subtract(ops, np.conjugate(t, out=t), out=t))
+    k = np.flatnonzero(weights > psd_tol * np.minimum(1.0, norms[:m]))
+    if k.size:
+        r = rows[k]
+        d = np.multiply(r.conj()[:, :, None], (r / weights[k, None])[:, None, :], out=t[: k.size])
+        defects[k] = _norms(np.subtract(ops[:m] if k.size == m else ops[k], d, out=d))
     return norms, herm, defects, *_rank_one_verdicts(norms[:m], weights, defects[:m], psd_tol)
 
 
@@ -342,9 +327,8 @@ def rank_one_rule(f, rows: np.ndarray, weights: np.ndarray, ctx: ToleranceContex
     ``||F_k||_F <= 1``, where ``b_k = psd_tol * ||F_k||_F``; ``b_k`` never
     exceeds ``psd_tol``.  The defect is a Schur complement, so by Cauchy
     interlacing it bounds ``|lambda_2(F_k)|`` and ``-lambda_min(F_k)``: a
-    rank-two operator never passes.  Norms and defects come from one pass over
-    the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB), so no temporary
-    is larger than one block.
+    rank-two operator never passes.  Norms and defects come from one
+    vectorized pass over the whole stack (:func:`_stack_pass`).
     """
     return _stack_pass(f, rows, weights, ctx.psd_tol)[3:]
 
@@ -369,7 +353,7 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     A certified operator reports rank 1 and ``min_eigenvalue = -d_k``, a
     certified lower bound on its smallest eigenvalue, not the eigenvalue
     itself.  Norms, Hermiticity residuals, defects and verdicts come from
-    one pass over the stack in blocks of at most ``BLOCK_BYTES`` (256 KiB).
+    one vectorized pass over the whole stack, with temporaries of about one stack.
     The inconclusive operator and every uncertified operator share one
     ``eigvalsh`` call and report exact eigenvalue diagnostics.
 
@@ -437,8 +421,8 @@ def subspace_reduce(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[S
     """L states in C^N as a set in C^L, with the ``N x L`` isometry ``U`` that maps it back.
 
     Both read the one SVD ``A = U S V^dag``: the reduced states are ``U^dag A = S V^dag``,
-    so ``A = U @ reduced.states``, the overlaps are kept, and :func:`dual_set` and
-    :func:`build_usd_povm` accept the set.
+    whose SVD is ``(I_L, s, V^dag)`` exactly, so ``A = U @ reduced.states``, the overlaps
+    are kept, no second SVD is taken, and :func:`dual_set` and :func:`build_usd_povm` accept the set.
 
     Raises
     ------
@@ -446,4 +430,4 @@ def subspace_reduce(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[S
         When the states are linearly dependent within ``cond_max``.
     """
     u, sv, vh = s.svd
-    return _state_set(linalg._freeze(sv[:, None] * vh), ctx), u
+    return _state_set(linalg._freeze(sv[:, None] * vh), ctx, (linalg._identity(len(sv)), sv, vh)), u

@@ -82,7 +82,8 @@ def _passive(top: float, ctx: ToleranceContext) -> bool:
 
 def _check_basis(basis: ProjectiveBasis, n: int, what: str = "operator") -> None:
     if basis.dim != n:
-        raise DimensionMismatch(f"basis dimension {basis.dim} does not match {what} dimension {n}")
+        raise DimensionMismatch(f"basis dimension {basis.dim} does not match {what} dimension {n}",
+                                basis_dim=basis.dim, dim=n)
 
 
 def _require_passive(le: LossyEvolution, why: str) -> None:
@@ -189,7 +190,7 @@ def lossy_from_povm(
     _check_basis(basis, n, "POVM")
     phi = np.zeros(n) if phases is None else np.asarray(phases, dtype=float)
     if phi.shape != (n,):
-        raise DimensionMismatch(f"expected {n} phases, got shape {phi.shape}")
+        raise DimensionMismatch(f"expected {n} phases, got shape {phi.shape}", phases=phi.size, dim=n)
     bad = np.flatnonzero(~np.isfinite(phi))
     if bad.size:
         raise ParamOutOfRange(f"phase {bad[0] + 1} is not finite: {float(phi[bad[0]])!r}", phase=int(bad[0]) + 1)

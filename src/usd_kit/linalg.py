@@ -117,8 +117,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def require_square(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got {m.shape[0]}x{m.shape[1]}")
+    rows, cols = m.shape
+    if rows != cols:
+        raise DimensionMismatch(f"{name} must be square, got {rows}x{cols}", rows=rows, cols=cols)
     return m
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from usd_kit import duality, io
 from usd_kit.discrimination import outcome_probabilities, state_ensemble, usd_report
 from usd_kit.duality import (
     StateSet,
-    _blocks,
     _stack_pass,
     build_usd_povm,
     check_density_matrix,
@@ -409,33 +410,32 @@ def test_round_trip_through_a_povm_takes_no_svd(monkeypatch):
     assert np.allclose(back.sv, le.sv, rtol=0.0, atol=1e-14)
 
 
-# -- the blocked stack pass against a per-operator reference ------------------------
+# -- the whole-stack pass against a per-operator reference --------------------
 
-# One block up to N = 25; N = 26 splits 24 + 3; N = 32 and 64 end in a block of one.
-BLOCK_DIMS = [1, 2, 8, 25, 26, 32, 64]
+STACK_DIMS = [1, 2, 8, 25, 26, 32, 64]
 
 
-def block_test_states(n: int) -> StateSet:
+def stack_test_states(n: int) -> StateSet:
     m = random_complex(np.random.default_rng([n, 1]), n)
     return state_set(m / np.linalg.norm(m, axis=0))
 
 
-def block_test_povm(n: int, variant: str) -> PovmSet:
+def stack_test_povm(n: int, variant: str) -> PovmSet:
     """A USD POVM at half the uniform weight, so the inconclusive operator has
-    room.  ``non_hermitian`` breaks the Hermiticity of the first operator of
-    the last block; ``rank_two`` gives the first operator of the middle block a
-    second eigenvalue of 1e-3 of its first, taken from the inconclusive one;
-    ``tiny`` moves all but 1e-10 of the last detection operator's norm to the
-    inconclusive one, so its pivot is aligned under the relative bound only
-    and the zero threshold ``||F_k||_F > psd_tol`` rejects it."""
+    room.  ``non_hermitian`` breaks the Hermiticity of the inconclusive
+    operator, ``non_hermitian_first`` that of the first detection operator;
+    ``rank_two`` gives detection operator ``n // 2`` a second eigenvalue of
+    1e-3 of its first, taken from the inconclusive one; ``tiny`` moves all but
+    1e-10 of the last detection operator's norm to the inconclusive one, so its
+    pivot is aligned under the relative bound only and the zero threshold
+    ``||F_k||_F > psd_tol`` rejects it."""
     rng = np.random.default_rng(n)
-    s = block_test_states(n)
+    s = stack_test_states(n)
     ops = np.array(build_usd_povm(s, [0.5 * s.sv[-1] ** 2] * n).operators)
-    blocks = _blocks(ops)
-    if variant == "non_hermitian":
-        ops[blocks[-1].start] += 1e-6j * np.triu(np.ones((n, n)))
+    if variant.startswith("non_hermitian"):
+        ops[0 if variant == "non_hermitian_first" else n] += 1e-6j * np.triu(np.ones((n, n)))
     elif variant == "rank_two":
-        k = blocks[(len(blocks) - 1) // 2].start
+        k = n // 2
         d = ops[k, :, np.argmax(np.diagonal(ops[k]).real)]
         v = random_complex(rng, n, 1)[:, 0]
         v -= d * (d.conj() @ v) / (d.conj() @ d)  # orthogonal to the range of F_k
@@ -460,11 +460,11 @@ def per_operator_reference(ops: np.ndarray, n: int):
 
 @pytest.mark.parametrize(
     "n, variant",
-    [(n, v) for n in BLOCK_DIMS for v in ("clean", "non_hermitian", "rank_two", "tiny")
+    [(n, v) for n in STACK_DIMS for v in ("clean", "non_hermitian", "non_hermitian_first", "rank_two", "tiny")
      if (n, v) != (1, "rank_two")],
 )
 def test_stack_pass_matches_the_per_operator_reference(n, variant):
-    p = block_test_povm(n, variant)
+    p = stack_test_povm(n, variant)
     ops, tol = p.operators, DEFAULT_TOL
     rows, weights, norms, herm, defects = per_operator_reference(ops, n)
     bound = tol.psd_tol * np.minimum(1.0, norms[:n])  # the rule's one bound b_k
@@ -496,7 +496,7 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     report = validate_povm(p)
     assert report.hermiticity_residual.tolist() == herm.tolist()
     assert report.rank.tolist() == ranks
-    assert report.valid is valid is (variant != "non_hermitian")
+    assert report.valid is valid is (not variant.startswith("non_hermitian"))
     assert np.array_equal(report.rank_one, passed)
     certified = np.flatnonzero(passed & (weights > tol.psd_tol))  # the rule plus the rank threshold
     assert report.min_eigenvalue[certified].tolist() == (0.0 - defects[certified]).tolist()
@@ -504,11 +504,11 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     # outcome probabilities of the states behind the POVM: the non-Hermitian
     # part breaks completeness by about 1e-6 in the states' directions
     # (not at N = 1, where 1e-6j only moves the imaginary part)
-    s = block_test_states(n)
+    s = stack_test_states(n)
     a = np.asarray(s.states)
     probs = np.array([np.sum(a.conj() * (f @ a), axis=0).real for f in ops]).T
     broken = bool(np.any(probs < -tol.psd_tol) or np.any(np.abs(probs.sum(axis=1) - 1.0) > tol.eq_tol))
-    assert broken is (variant == "non_hermitian" and n > 1)
+    assert broken is (variant.startswith("non_hermitian") and n > 1)
     ensemble = state_ensemble(s, np.full(n, 1.0 / n))
     if broken:
         with pytest.raises(InvalidPovm):
@@ -535,6 +535,23 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
             lossy_from_povm(p, computational_basis(n))
     else:
         io.povm_from_doc(io.povm_doc(p))
+
+
+def test_dense_passes_keep_temporaries_below_two_stacks():
+    # The whole-stack passes hold about one stack of temporaries; three live ones would read 3x.
+    n = 64
+    s = stack_test_states(n)
+    p = PovmSet(n, build_usd_povm(s).operators)
+    ensemble, basis = state_ensemble(s, np.full(n, 1.0 / n)), computational_basis(n)
+    for call in (lambda: validate_povm(p), lambda: lossy_from_povm(p, basis), lambda: usd_report(ensemble, p)):
+        call()  # warm up: the first call fills caches that later calls read
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * p.stack.nbytes
 
 
 @pytest.mark.parametrize("residual, valid", [(0.5e-10, True), (2e-10, False)])
@@ -647,6 +664,16 @@ def test_subspace_reduce_preserves_overlaps():
     assert reduced.dim == reduced.count == 3
     assert frob(a.conj().T @ a - out.conj().T @ out) < 1e-10
     assert frob(u @ out - a) < 1e-10
+
+
+def test_subspace_reduce_takes_no_second_svd(monkeypatch):
+    s = random_state_set(np.random.default_rng(74), 64, count=40)
+    svds = record_calls(monkeypatch, "svd")
+    reduced, _ = subspace_reduce(s)
+    assert svds == []  # S V^dag has the SVD (I, s, V^dag)
+    u, sv, vh = reduced.svd
+    assert np.array_equal(u, np.eye(40)) and sv is s.sv and vh is s.svd[2]
+    assert np.array_equal(u @ (sv[:, None] * vh), reduced.states)
 
 
 @pytest.mark.parametrize("dim, count", [(2, 1), (3, 2), (5, 3), (64, 40)])

@@ -627,6 +627,29 @@ def test_cli_discriminate_count_and_dimension_errors_name_the_numbers(tmp_path, 
     }
 
 
+def test_cli_shape_errors_name_the_numbers(tmp_path, capsys):
+    k_path, basis_path, wide_path = tmp_path / "k.json", tmp_path / "basis.json", tmp_path / "wide.json"
+    povm_path, out_path = tmp_path / "povm.json", tmp_path / "out.json"
+    io.write_json(k_path, io.matrix_doc(np.eye(8) / 2.0))
+    io.write_json(basis_path, io.matrix_doc(np.eye(2)))
+    io.write_json(wide_path, io.matrix_doc(np.full((2, 3), 0.1)))
+    io.write_json(povm_path, io.povm_doc(build_usd_povm(state_set(np.eye(8)))))
+    cases = [
+        (["povm-from-k", "--k", str(k_path), "--basis", str(basis_path)],
+         "basis dimension 2 does not match operator dimension 8", {"basis_dim": 2, "dim": 8}),
+        (["k-from-povm", "--povm", str(povm_path), "--phases=0.1,0.2"],
+         "expected 8 phases, got shape (2,)", {"phases": 2, "dim": 8}),
+        (["embed", "--k", str(wide_path)],
+         "evolution operator must be square, got 2x3", {"rows": 2, "cols": 3}),
+    ]
+    for argv, message, context in cases:
+        assert main([*argv, "--out", str(out_path)]) == 2
+        assert one_envelope(capsys.readouterr().err) == {
+            "code": "dimension_mismatch", "message": message, "context": context,
+        }
+    assert not out_path.exists()
+
+
 def test_cli_discriminate_trials_byte_identical(tmp_path, capsys):
     k_path, ensemble_path = write_fig1_files(tmp_path)
     argv = [

@@ -1,6 +1,8 @@
 import ast
 import copy
+import importlib
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,19 @@ def test_every_error_type_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert sorted(set(leaves(UsdKitError)) - raised) == []
+
+
+def test_docstring_cross_references_resolve():
+    # :func:`x` and :class:`x` name a name of their own module, or module.name in the package.
+    broken, seen = [], 0
+    for path in sorted(Path(usd_kit.__file__).parent.glob("*.py")):
+        refs = re.findall(r":(?:func|class):`([^`]+)`", path.read_text(encoding="utf-8"))
+        seen += len(refs)
+        for ref in refs:  # a module without references is not imported: __main__ would run the cli
+            owner, _, name = ref.rpartition(".")
+            if not hasattr(importlib.import_module(f"usd_kit.{owner or path.stem}"), name):
+                broken.append(f"{path.name}: {ref}")
+    assert seen and broken == []
 
 
 def _arrays(obj):
