@@ -142,9 +142,8 @@ def _per_state_probabilities(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext
     a, ops = e.states.states, p.stack
     n, count = a.shape
     bra = a.conj()
-    if ops is None:  # w_j |<v_j|a_i>|^2 and <a_i|F_{N+1}|a_i>
-        hits = np.abs(p.vectors.conj() @ a) ** 2
-        probs = np.concatenate([hits if p.weights is None else p.weights[:, None] * hits,
+    if ops is None:  # |<u_j|a_i>|^2 and <a_i|F_{N+1}|a_i>
+        probs = np.concatenate([np.abs(p.vectors.conj() @ a) ** 2,
                                 (bra * (p.inconclusive @ a)).sum(axis=0, keepdims=True).real]).T
     else:
         # probs[i, j] = <alpha_i|F_j|alpha_i>: one (M N, N) @ (N, count) product, times the bras in place
@@ -159,7 +158,7 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     Raises ``DimensionMismatch`` unless there is one detection operator per
     state, and ``InvalidPovm`` when the outcome probabilities break
     :func:`_probability_rule` under ``ctx``, which a valid POVM never does.
-    A factored POVM gives them as ``w_j |<v_j|a_i>|^2`` and ``<a_i|F_{N+1}|a_i>``;
+    A factored POVM gives them as ``|<u_j|a_i>|^2`` and ``<a_i|F_{N+1}|a_i>``;
     a dense stack is read in one vectorized pass, with temporaries of about one stack.
     """
     if e.count != p.dim:
@@ -221,9 +220,8 @@ def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) 
         raise DimensionMismatch(
             f"density matrix dimension {m.shape[0]} does not match POVM dimension {p.dim}"
         )
-    if p.stack is None:  # w_j <v_j|rho|v_j> and tr(rho F_{N+1})
+    if p.stack is None:  # <u_j|rho|u_j> and tr(rho F_{N+1})
         hits = np.sum((p.vectors.conj() @ m) * p.vectors, axis=1).real
-        hits = hits if p.weights is None else p.weights * hits
         probs = np.append(hits, np.einsum("ij,ji", m, p.inconclusive).real)
     else:
         probs = np.einsum("ij,kji->k", m, p.stack).real

@@ -64,16 +64,14 @@ class PovmSet(linalg._Immutable):
     finite entries (``InvalidMatrix`` otherwise), as one read-only complex
     ``(N+1, N, N)`` array ``stack`` (a read-only complex array is not copied).
     :func:`rank_one_povm` builds the factored form, ``stack = None``: the rows
-    ``vectors`` ``v_i`` and ``weights`` ``w_i`` (``None`` when every ``w_i`` is 1)
-    of ``F_i = w_i |v_i><v_i|``, and ``inconclusive``.  ``operators`` is the
-    read-only dense stack; a factored POVM builds it anew on each access.  Its ``svd``
-    is that of the factor ``M`` with rows ``sqrt(w_i) v_i^dag`` (``M^dag M = I - F_{N+1}``),
+    ``vectors`` ``u_i`` of ``F_i = |u_i><u_i|`` and ``inconclusive``.  ``operators``
+    is the read-only dense stack; a factored POVM builds it anew on each access.
+    Its ``svd`` is that of the factor ``M`` with rows ``u_i^dag`` (``M^dag M = I - F_{N+1}``),
     filled by a builder that knows it, else taken on first read; ``None`` for a stack.
     """
 
     dim: int
     vectors: np.ndarray | None
-    weights: np.ndarray | None
     inconclusive: np.ndarray
     stack: np.ndarray | None
 
@@ -88,8 +86,7 @@ class PovmSet(linalg._Immutable):
             raise DimensionMismatch(f"expected {dim + 1} operators of size {dim}x{dim}")
         if not np.isfinite(ops).all():
             raise InvalidMatrix("POVM operators contain NaN or Inf entries")
-        ops = linalg.frozen(ops) if ops.flags.writeable else ops
-        _fill(self, dim=dim, vectors=None, weights=None, inconclusive=ops[-1], stack=ops)
+        _dense_povm(linalg.frozen(ops) if ops.flags.writeable else ops, self)
 
     @property
     def operators(self) -> np.ndarray:
@@ -98,8 +95,7 @@ class PovmSet(linalg._Immutable):
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         if self.stack is None:  # a dense stack has no factor, and no svd
-            m = self.vectors.conj()
-            return linalg.thin_svd(m if self.weights is None else np.sqrt(self.weights)[:, None] * m)
+            return linalg.thin_svd(self.vectors.conj())
 
 
 def _fill(p: PovmSet, **fields) -> PovmSet:
@@ -107,27 +103,25 @@ def _fill(p: PovmSet, **fields) -> PovmSet:
     return p
 
 
+def _dense_povm(ops: np.ndarray, p: PovmSet | None = None) -> PovmSet:
+    """The POVM of a finite read-only complex ``(N+1, N, N)`` stack that no caller
+    writes, filled into ``p`` (a new one without it): :class:`PovmSet`'s fields without its checks."""
+    p = object.__new__(PovmSet) if p is None else p
+    return _fill(p, dim=len(ops) - 1, vectors=None, inconclusive=ops[-1], stack=ops)
+
+
 def _dyad_stack(p: PovmSet) -> np.ndarray:
-    """The read-only stack of a factored POVM: ``F_i = w_i |v_i><v_i|``, then ``F_{N+1}``.
-    Unit weights are not multiplied in: ``x * (1 + 0j)`` can flip the sign of a zero."""
-    v, n = p.vectors, p.dim
+    """The read-only stack of a factored POVM: ``F_i = |u_i><u_i|``, then ``F_{N+1}``."""
+    u, n = p.vectors, p.dim
     ops = np.empty((n + 1, n, n), dtype=complex)
-    np.multiply(v[:, :, None], v.conj()[:, None, :], out=ops[:n])
-    if p.weights is not None:
-        ops[:n] *= p.weights[:, None, None]
+    np.multiply(u[:, :, None], u.conj()[:, None, :], out=ops[:n])
     ops[n] = p.inconclusive
     return linalg._freeze(ops)
 
 
-def _dyad_sum(vectors: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """``sum_i w_i |v_i><v_i| = (V^T w) V^*`` in one product."""
-    return (vectors.T if weights is None else vectors.T * weights) @ vectors.conj()
-
-
 def _dyad_norms(p: PovmSet) -> np.ndarray:
-    """``||F_i||_F = w_i ||v_i||^2`` of the detection operators of a factored POVM."""
-    norms = np.sum(np.abs(p.vectors) ** 2, axis=1)
-    return norms if p.weights is None else p.weights * norms
+    """``||F_i||_F = ||u_i||^2`` of the detection operators of a factored POVM."""
+    return np.sum(np.abs(p.vectors) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -202,14 +196,16 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     return linalg._freeze((u / sv) @ vh)
 
 
-def rank_one_povm(rows: np.ndarray, weights: np.ndarray | None = None) -> PovmSet:
-    """The factored POVM ``F_i = w_i |v_i><v_i|`` of the rows ``v_i`` of ``rows``
-    (``w_i = 1`` without ``weights``), completed by ``I - (V^T w) V^*``,
-    Hermitian-symmetrized.  Keeps ``rows`` and ``weights``: they must be read-only.
+def rank_one_povm(rows: np.ndarray, svd=None) -> PovmSet:
+    """The factored POVM ``F_i = |u_i><u_i|`` of the rows ``u_i`` of ``rows``,
+    completed by ``I - U^T U^*`` (``sum_i |u_i><u_i|`` in one product),
+    Hermitian-symmetrized.  Keeps ``rows``, which must be read-only, and ``svd``,
+    the read-only SVD of the factor ``M = U^*`` when the caller knows it.
     """
-    completion = linalg._identity(rows.shape[1]) - _dyad_sum(rows, weights)
-    return _fill(object.__new__(PovmSet), dim=rows.shape[1], vectors=rows, weights=weights, stack=None,
-                 inconclusive=linalg._freeze((completion + completion.conj().T) / 2.0))
+    completion = linalg._identity(rows.shape[1]) - rows.T @ rows.conj()
+    p = _fill(object.__new__(PovmSet), dim=rows.shape[1], vectors=rows, stack=None,
+              inconclusive=linalg._freeze((completion + completion.conj().T) / 2.0))
+    return p if svd is None else _fill(p, svd=svd)
 
 
 def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TOL) -> PovmSet:
@@ -220,9 +216,9 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
     inconclusive operator positive, in closed form: from one SVD
     ``A = U S V^dag``, the duals give ``I - lambda D D^dag = U (I - lambda S^{-2}) U^dag``,
     positive exactly when ``lambda <= sigma_min(A)^2`` and, at that weight,
-    to round-off below ``cond_max``.  The POVM is factored (:func:`rank_one_povm`):
-    the duals as ``vectors``, the ``lambda_i`` as ``weights`` and the completion.
-    Then ``svd`` is read off ``s.svd``: ``M = sigma_min D^dag = V (sigma_min S^{-1}) U^dag``.
+    to round-off below ``cond_max``.  The POVM is factored (:func:`rank_one_povm`)
+    with rows ``u_i = sqrt(lambda_i) d_i``: ``sigma_min d_i`` at that weight, whose
+    ``svd`` is read off ``s.svd``: ``M = sigma_min D^dag = V (sigma_min S^{-1}) U^dag``.
 
     Raises
     ------
@@ -234,36 +230,32 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
     """
     n = s.dim
     duals = dual_set(s, ctx)
-    if weights is None:
-        lambdas = np.full(n, s.sv[-1] ** 2)
-    else:
-        lambdas = np.array(weights, dtype=float)  # a copy: the POVM keeps it
-        if lambdas.shape != (n,):
-            raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}")
-        if not np.all((lambdas > 0.0) & np.isfinite(lambdas)):
-            raise ParamOutOfRange("scaling weights must be finite and strictly positive")
-        # compared, not multiplied: lambda_i ||d_i||^2 can overflow, and ||d_i|| >= 1
-        limit = (1.0 + ctx.psd_tol) / np.sum(np.abs(duals) ** 2, axis=0)
-        bad = np.flatnonzero(lambdas > limit)
-        if bad.size:
-            raise InfeasibleScaling(
-                f"weight {bad[0] + 1} exceeds 1 / ||d_i||^2, so the inconclusive operator is indefinite",
-                operator=int(bad[0]) + 1,
-                weight=float(lambdas[bad[0]]),
-                limit=float(limit[bad[0]]),
-            )
-    p = rank_one_povm(duals.T, linalg._freeze(lambdas))
     if weights is None:  # M's singular values s_min / s_i reversed to descend: the largest is 1
         u, sv, vh = s.svd
         m_svd = np.conjugate(vh[::-1].T, order="C"), sv[-1] / sv[::-1], np.conjugate(u[:, ::-1].T, order="C")
-        _fill(p, svd=tuple(map(linalg._freeze, m_svd)))
-    else:
-        min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
-        if min_eig < -ctx.psd_tol:
-            raise InfeasibleScaling(
-                "inconclusive operator is indefinite for the supplied weights",
-                min_eigenvalue=min_eig,
-            )
+        return rank_one_povm(linalg._freeze(sv[-1] * duals.T), tuple(map(linalg._freeze, m_svd)))
+    lambdas = np.asarray(weights, dtype=float)
+    if lambdas.shape != (n,):
+        raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}")
+    if not np.all((lambdas > 0.0) & np.isfinite(lambdas)):
+        raise ParamOutOfRange("scaling weights must be finite and strictly positive")
+    # compared, not multiplied: lambda_i ||d_i||^2 can overflow, and ||d_i|| >= 1
+    limit = (1.0 + ctx.psd_tol) / np.sum(np.abs(duals) ** 2, axis=0)
+    bad = np.flatnonzero(lambdas > limit)
+    if bad.size:
+        raise InfeasibleScaling(
+            f"weight {bad[0] + 1} exceeds 1 / ||d_i||^2, so the inconclusive operator is indefinite",
+            operator=int(bad[0]) + 1,
+            weight=float(lambdas[bad[0]]),
+            limit=float(limit[bad[0]]),
+        )
+    p = rank_one_povm(linalg._freeze(np.sqrt(lambdas)[:, None] * duals.T))
+    min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
+    if min_eig < -ctx.psd_tol:
+        raise InfeasibleScaling(
+            "inconclusive operator is indefinite for the supplied weights",
+            min_eigenvalue=min_eig,
+        )
     return p
 
 
@@ -358,11 +350,11 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     ``eigvalsh`` call and report exact eigenvalue diagnostics.
 
     A factored POVM (:func:`rank_one_povm`) is certified from its factors.
-    Each ``F_k = w_k |v_k><v_k|`` is exactly Hermitian, positive, and rank one
-    exactly when ``||F_k||_F = w_k ||v_k||^2 > psd_tol``: it reports residual 0,
+    Each ``F_k = |u_k><u_k|`` is exactly Hermitian, positive, and rank one
+    exactly when ``||F_k||_F = ||u_k||^2 > psd_tol``: it reports residual 0,
     ``min_eigenvalue`` 0 (the bound ``-d_k``, ``d_k = 0``) and ``rank_one`` equal
     to that rank.  Only the symmetrized completion, residual 0, is eigensolved;
-    the completeness residual is ``||(V^T w) V^* + F_{N+1} - I||_F``, one product.
+    the completeness residual is ``||U^T U^* + F_{N+1} - I||_F``, one product.
     """
     n = p.dim
     if p.stack is None:
@@ -371,7 +363,7 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
         herm, hermitian = np.zeros(n + 1), True
         min_eig = np.append(np.zeros(n), w[0])
         ranks = np.append(rank_one, np.count_nonzero(w > ctx.psd_tol)).astype(int)
-        completeness = linalg.frobenius(_dyad_sum(p.vectors, p.weights) + p.inconclusive - linalg._identity(n))
+        completeness = linalg.frobenius(p.vectors.T @ p.vectors.conj() + p.inconclusive - linalg._identity(n))
     else:
         ops = p.stack
         rows, weights = diagonal_pivot(ops[:n])

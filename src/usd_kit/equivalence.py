@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .duality import PovmSet, StateSet, rank_one_povm, rank_one_rule
-from .duality import _dyad_norms, _fill, _rank_one_verdicts, _state_set
+from .duality import _dyad_norms, _rank_one_verdicts, _state_set
 from .errors import (
     DegenerateBasisAlignment,
     DimensionMismatch,
@@ -141,17 +141,17 @@ def normalize_passive(
 def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
     """POVM induced by measuring projectively after the lossy evolution.
 
-    ``F_i`` is the dyad of ``K^dag psi_i`` (exactly Hermitian and rank at
+    ``F_i`` is the dyad of ``u_i = K^dag psi_i`` (exactly Hermitian and rank at
     most one by construction); the inconclusive operator is
     ``I - sum_i F_i = I - K^dag K``, positive precisely because K is passive.
-    The result is factored (:func:`duality.rank_one_povm`): the rows
-    ``K^dag psi_i`` with unit weights and the completion.  Its factor is
-    ``M = Psi^dag K``, so its ``svd`` is ``(Psi^dag U, s, V^dag)`` of ``le.svd``.
+    The result is factored (:func:`duality.rank_one_povm`): the rows ``u_i``
+    and the completion.  Its factor is ``M = Psi^dag K``, so its ``svd`` is
+    ``(Psi^dag U, s, V^dag)`` of ``le.svd``.
     """
     _require_passive(le, "the completion operator would be indefinite")
     _check_basis(basis, le.dim)
-    p = rank_one_povm(linalg._freeze((le.k.conj().T @ basis.psi).T))
-    return _fill(p, svd=(linalg._freeze(basis.psi.conj().T @ le.svd[0]), *le.svd[1:]))
+    return rank_one_povm(linalg._freeze((le.k.conj().T @ basis.psi).T),
+                         (linalg._freeze(basis.psi.conj().T @ le.svd[0]), *le.svd[1:]))
 
 
 def lossy_from_povm(
@@ -168,10 +168,10 @@ def lossy_from_povm(
     expression.  As ``K^dag Pi_i K = r_i^dag r_i / w_i``, the
     :func:`duality.rank_one_rule` pivoted on ``psi_i`` certifies that K
     reproduces every ``F_i`` within ``b_i = psd_tol * min(1, ||F_i||_F)``.
-    On a factored POVM, ``F_i = w_i |v_i><v_i|``, the rows are
-    ``r_i = w_i <psi_i|v_i> v_i^dag`` and ``w_i |<psi_i|v_i>|^2`` the pivot
+    On a factored POVM, ``F_i = |u_i><u_i|``, the rows are
+    ``r_i = <psi_i|u_i> u_i^dag`` and ``|<psi_i|u_i>|^2`` the pivot
     weights, and every defect is zero: no operator stack is formed.  There ``K = Psi Theta M``
-    for the POVM's factor ``M``, ``Theta = diag(e^{i phi_i} <psi_i|v_i> / |<psi_i|v_i>|)``:
+    for the POVM's factor ``M``, ``Theta = diag(e^{i phi_i} <psi_i|u_i> / |<psi_i|u_i>|)``:
     K's SVD is ``(Psi Theta U, s, V^dag)`` of ``p.svd``, and no SVD of K is taken.
     K is passive (its Gram matrix is ``I - F_{N+1}``); phases never affect statistics.
 
@@ -196,10 +196,9 @@ def lossy_from_povm(
         raise ParamOutOfRange(f"phase {bad[0] + 1} is not finite: {float(phi[bad[0]])!r}", phase=int(bad[0]) + 1)
     psi = basis.psi
     if p.stack is None:
-        overlaps = np.sum(psi.conj().T * p.vectors, axis=1)  # <psi_k|v_k>
-        scaled = overlaps if p.weights is None else p.weights * overlaps
-        rows = scaled[:, None] * p.vectors.conj()
-        weights = (scaled * overlaps.conj()).real
+        overlaps = np.sum(psi.conj().T * p.vectors, axis=1)  # <psi_k|u_k>
+        rows = overlaps[:, None] * p.vectors.conj()
+        weights = (overlaps * overlaps.conj()).real
         nonzero, aligned, passed = _rank_one_verdicts(_dyad_norms(p), weights, 0.0, ctx.psd_tol)
     else:
         f = p.stack[:n]

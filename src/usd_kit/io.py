@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .duality import PovmSet, _fill, _state_set, validate_povm
+from .duality import PovmSet, _dense_povm, _state_set, validate_povm
 from .discrimination import StateEnsemble, state_ensemble
 from .errors import InvalidPovm, ParseError
 from .linalg import DEFAULT_TOL, ToleranceContext
@@ -214,8 +214,7 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
     ops = linalg._freeze(_pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}"))
-    # PovmSet's fields without its checks, which _pairs has made
-    p = _fill(object.__new__(PovmSet), dim=dim, vectors=None, weights=None, inconclusive=ops[-1], stack=ops)
+    p = _dense_povm(ops)  # without PovmSet's checks, which _pairs has made
     if validate:
         report = validate_povm(p, ctx)
         if not report.valid:
