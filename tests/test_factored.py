@@ -55,9 +55,9 @@ def test_factored_and_dense_povms_agree(n):
     rho = random_density(rng, n)
     basis = near_unitary_basis(rng, n)
     built = [(build_usd_povm(s), computational_basis(n)),
-             (povm_from_lossy(make_lossy(random_passive(rng, n)), basis), basis)]
-    # feasible explicit weights: their POVM's svd is taken on first read, by lossy_from_povm
-    built.append((build_usd_povm(s, rng.uniform(0.3, 1.0, n) * s.sv[-1] ** 2), computational_basis(n)))
+             (povm_from_lossy(make_lossy(random_passive(rng, n)), basis), basis),
+             # feasible explicit weights: lossy_from_povm takes this POVM's svd on first read
+             (build_usd_povm(s, rng.uniform(0.3, 1.0, n) * s.sv[-1] ** 2), computational_basis(n))]
     for p, b in built:
         assert p.stack is None
         q = PovmSet(p.dim, p.operators)
@@ -73,7 +73,7 @@ def test_factored_and_dense_povms_agree(n):
         k, k_dense = lossy_from_povm(p, b), lossy_from_povm(q, b)
         assert np.linalg.norm(k.k - k_dense.k) <= DEFAULT_TOL.eq_tol
         assert k.passive is k_dense.passive is True
-        assert np.linalg.norm((k.svd[0] * k.sv) @ k.svd[2] - k.k) <= DEFAULT_TOL.eq_tol  # p.svd carried over
+        assert np.linalg.norm((k.svd[0] * k.sv) @ k.svd[2] - k.k) <= DEFAULT_TOL.eq_tol  # from p.svd if factored
         assert inconclusive_rank(p) == inconclusive_rank(q)
 
 
