@@ -75,7 +75,7 @@ class RandomSource:
     def __post_init__(self):
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
-            raise ParamOutOfRange(f"seed must be an integer in [0, 2**128), got {seed!r}")
+            raise ParamOutOfRange(f"seed must be an integer in [0, 2**128), got {seed!r}", seed=seed)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed))
@@ -94,14 +94,13 @@ def state_ensemble(states: StateSet, priors) -> StateEnsemble:
     """Validate priors against the state set and freeze the ensemble."""
     p = np.asarray(priors, dtype=float)
     if p.ndim != 1 or p.shape[0] != states.count:
-        raise InvalidEnsemble(
-            f"expected {states.count} priors, got shape {p.shape}"
-        )
+        raise InvalidEnsemble(f"expected {states.count} priors, got shape {p.shape}",
+                              priors=p.size, states=states.count)
     if not ((p >= 0.0) & np.isfinite(p)).all():
         raise InvalidEnsemble("priors must be finite and nonnegative")
     total = float(p.sum())
     if abs(total - 1.0) > PRIOR_TOL:
-        raise InvalidEnsemble(f"priors sum to {total!r}, expected 1")
+        raise InvalidEnsemble(f"priors sum to {total!r}, expected 1", total=total)
     return StateEnsemble(states=states, priors=linalg.frozen(p))
 
 
@@ -203,7 +202,8 @@ def sample_outcomes(
     """
     trials = trials_per_state
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or not 0 <= trials < 2**63:
-        raise InvalidEnsemble(f"trials_per_state must be an integer in [0, 2**63), got {trials!r}")
+        raise InvalidEnsemble(f"trials_per_state must be an integer in [0, 2**63), got {trials!r}",
+                              trials_per_state=trials)
     probs = _per_state_probabilities(e, p, ctx)
     counts = rng.generator().multinomial(trials, probs / probs.sum(axis=1, keepdims=True))
     return OutcomeStats(counts=linalg._freeze(counts), trials=trials, seed=rng.seed)

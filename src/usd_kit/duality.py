@@ -127,8 +127,9 @@ def _dyad_norms(p: PovmSet) -> np.ndarray:
 @dataclass(frozen=True)
 class ValidationReport(linalg._Immutable):
     """Diagnostics of a POVM: read-only arrays with one entry per operator
-    ``F_1 .. F_{N+1}`` (``hermiticity_residual`` ``||F_k - F_k^dag||_F``,
-    ``min_eigenvalue`` and integer ``rank``, see :func:`validate_povm`), the
+    ``F_1 .. F_{N+1}`` (``hermiticity_residual`` ``||F_k - F_k^dag||_F``, the
+    smallest eigenvalue ``min_eigenvalue`` and the integer ``rank``, the count of
+    eigenvalues above ``psd_tol``; see :func:`validate_povm`), the
     :func:`rank_one_rule` verdict ``rank_one`` of each of ``F_1 .. F_N``, the
     completeness residual ``||sum_k F_k - I||_F`` and the verdict."""
 
@@ -160,9 +161,8 @@ def _state_set(m: np.ndarray, ctx: ToleranceContext, svd=None) -> StateSet:
     no caller writes: the set keeps it, and its one SVD (``svd``, else taken here), as they are."""
     dim, count = m.shape
     if count == 0 or count > dim:
-        raise InvalidStateSet(
-            f"need between 1 and {dim} states in dimension {dim}, got {count}"
-        )
+        raise InvalidStateSet(f"need between 1 and {dim} states in dimension {dim}, got {count}",
+                              states=count, dim=dim)
     norms = np.linalg.norm(m, axis=0)
     worst = float(np.abs(norms - 1.0).max())
     if worst > ctx.eq_tol:
@@ -336,51 +336,37 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
     operator with ``||F_k||_F <= psd_tol`` is never rank one, so ``rank_one``
     is false wherever ``rank`` is 0.
 
-    A detection operator that passes the rule with ``w_k > psd_tol`` is
-    certified rank one in ``O(N^2)``, with no eigensolve.  Its defect is
-    ``d_k <= b_k <= psd_tol``, and for the Hermitian part ``H`` of ``F_k``,
-    ``||H - r_k^dag r_k / w_k||_F <= d_k``, so ``lambda_1(H) >= w_k > psd_tol``
-    (a Rayleigh quotient), ``lambda_2(H) <= d_k`` (Cauchy interlacing) and
-    ``lambda_min(H) >= -d_k`` (Weyl): its rank is the eigensolve's count.
-    A certified operator reports rank 1 and ``min_eigenvalue = -d_k``, a
-    certified lower bound on its smallest eigenvalue, not the eigenvalue
-    itself.  Norms, Hermiticity residuals, defects and verdicts come from
-    one vectorized pass over the whole stack, with temporaries of about one stack.
-    The inconclusive operator and every uncertified operator share one
-    ``eigvalsh`` call and report exact eigenvalue diagnostics.
+    A dense stack is eigensolved whole, in one ``eigvalsh`` call: as it is when
+    it meets the Hermiticity rule, its Hermitian part otherwise.  Every
+    operator's ``min_eigenvalue`` and ``rank`` are that call's.  Norms,
+    Hermiticity residuals and ``rank_one`` come from one vectorized pass over
+    the whole stack (:func:`_stack_pass`), with temporaries of about one stack.
 
-    A factored POVM (:func:`rank_one_povm`) is certified from its factors.
-    Each ``F_k = |u_k><u_k|`` is exactly Hermitian, positive, and rank one
-    exactly when ``||F_k||_F = ||u_k||^2 > psd_tol``: it reports residual 0,
-    ``min_eigenvalue`` 0 (the bound ``-d_k``, ``d_k = 0``) and ``rank_one`` equal
-    to that rank.  Only the symmetrized completion, residual 0, is eigensolved;
+    A factored POVM (:func:`rank_one_povm`) is read from its factors.  Each
+    ``F_k = |u_k><u_k|`` is exactly Hermitian and positive, with eigenvalues
+    ``||u_k||^2`` and 0: it reports residual 0, ``min_eigenvalue`` 0 (``||u_k||^2``
+    at N = 1), and rank 1 with ``rank_one`` true exactly when ``||F_k||_F = ||u_k||^2 > psd_tol``.
+    Only the symmetrized completion, residual 0, is eigensolved;
     the completeness residual is ``||U^T U^* + F_{N+1} - I||_F``, one product.
     """
     n = p.dim
     if p.stack is None:
-        rank_one = _dyad_norms(p) > ctx.psd_tol
+        norms = _dyad_norms(p)
+        rank_one = norms > ctx.psd_tol
         w = np.linalg.eigvalsh(p.inconclusive)
         herm, hermitian = np.zeros(n + 1), True
-        min_eig = np.append(np.zeros(n), w[0])
+        min_eig = np.append(np.zeros(n) if n > 1 else norms, w[0])
         ranks = np.append(rank_one, np.count_nonzero(w > ctx.psd_tol)).astype(int)
         completeness = linalg.frobenius(p.vectors.T @ p.vectors.conj() + p.inconclusive - linalg._identity(n))
     else:
         ops = p.stack
-        rows, weights = diagonal_pivot(ops[:n])
-        norms, herm, defects, _, _, rank_one = _stack_pass(ops, rows, weights, ctx.psd_tol)
-        rest = np.flatnonzero(~np.append(rank_one & (weights > ctx.psd_tol), False))
+        norms, herm, _, _, _, rank_one = _stack_pass(ops, *diagonal_pivot(ops[:n]), ctx.psd_tol)
         # eigvalsh reads one triangle.  That moves no eigenvalue by more than the
         # Hermiticity residual, which the rule bounds by eq_tol * max(1, ||F||_F),
         # so only a stack that breaks the rule pays for symmetrizing what is eigensolved.
         hermitian = bool(np.all(linalg.hermitian_rule(herm, norms, ctx)))
-        sub = ops[rest]
-        if not hermitian:
-            sub = (sub + sub.conj().transpose(0, 2, 1)) / 2.0
-        w = np.linalg.eigvalsh(sub)
-        min_eig = 0.0 - defects  # 0.0 - d keeps an exact dyad's bound at +0.0
-        min_eig[rest] = w[:, 0]
-        ranks = np.ones(n + 1, dtype=int)
-        ranks[rest] = np.count_nonzero(w > ctx.psd_tol, axis=1)
+        w = np.linalg.eigvalsh(ops if hermitian else (ops + ops.conj().transpose(0, 2, 1)) / 2.0)
+        min_eig, ranks = w[:, 0], np.count_nonzero(w > ctx.psd_tol, axis=1)
         completeness = linalg.frobenius(ops.sum(axis=0) - linalg._identity(n))
     return ValidationReport(
         hermiticity_residual=linalg._freeze(herm),

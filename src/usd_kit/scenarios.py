@@ -62,7 +62,7 @@ def _waveguide_modes() -> tuple[np.ndarray, np.ndarray]:
 def _check_gamma(gamma: float) -> float:
     g = float(gamma)
     if not (0.0 < g < 1.0):
-        raise ParamOutOfRange(f"gamma must lie strictly between 0 and 1, got {g!r}")
+        raise ParamOutOfRange(f"gamma must lie strictly between 0 and 1, got {g!r}", gamma=g)
     return g
 
 
@@ -105,7 +105,7 @@ def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
         If ``z`` is not finite.
     """
     if not math.isfinite(z):
-        raise ParamOutOfRange(f"z must be finite, got {z!r}")
+        raise ParamOutOfRange(f"z must be finite, got {z!r}", z=z)
     z = math.fmod(z, 2.0 * math.pi)
     w, v = _waveguide_modes()
     full_u = (v * np.exp(-1j * w * z)) @ v.conj().T  # linalg.unitary_exp, the Hamiltonian's modes cached

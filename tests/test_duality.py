@@ -312,9 +312,9 @@ def test_validate_scales_the_hermiticity_bound_with_the_operator(residual, valid
 # -- the one bound b_k = psd_tol * min(1, ||F_k||_F) ----------------------------------
 
 def test_certificate_reads_the_rule_bound_below_unit_norm():
-    # F_1 = diag(0.5, 1.5e-9): on its diagonal pivot the defect is 0.75e-9, above
-    # b_1 = 0.5e-9 yet below psd_tol, so F_1 is not certified: it reports its exact
-    # smallest eigenvalue, not -d_1, and the eigensolve's rank 1
+    # F_1 = diag(0.5, 0.75e-9): on its diagonal pivot the defect is 0.75e-9, above
+    # b_1 = 0.5e-9 yet below psd_tol, so the rule finds F_1 not rank one, while the
+    # eigensolve reports its smallest eigenvalue 0.75e-9 and rank 1
     tol = DEFAULT_TOL.psd_tol
     f1 = np.diag([0.5, 0.5 * 1.5 * tol])
     p = PovmSet(dim=2, operators=(f1, np.diag([0.0, 0.5]), np.eye(2) - f1 - np.diag([0.0, 0.5])))
@@ -360,7 +360,7 @@ def test_validated_load_makes_one_pass_and_one_eigensolve(monkeypatch):
     monkeypatch.setattr(duality, "_stack_pass", lambda *args: passes.append(1) or _stack_pass(*args))
     monkeypatch.setattr(io, "validate_povm", lambda *args: reports.append(1) or validate_povm(*args))
     io.povm_from_doc(doc)
-    assert calls == [(1, 8, 8)]
+    assert calls == [(9, 8, 8)]  # the whole stack
     assert passes == [1]  # the load's rank-one verdict forms no defect a second time
     assert reports == [1]  # and comes from the public report
 
@@ -491,15 +491,20 @@ def test_stack_pass_matches_the_per_operator_reference(n, variant):
     assert passed.all() or variant != "clean"
     assert not passed.all() or variant != "rank_two"
 
-    # validate_povm: residuals, certified bounds, ranks and verdict
+    # validate_povm: residuals, eigenvalues, ranks and verdict
     ranks, _, valid = oracle_report(np.asarray(ops))
     report = validate_povm(p)
     assert report.hermiticity_residual.tolist() == herm.tolist()
     assert report.rank.tolist() == ranks
     assert report.valid is valid is (not variant.startswith("non_hermitian"))
     assert np.array_equal(report.rank_one, passed)
-    certified = np.flatnonzero(passed & (weights > tol.psd_tol))  # the rule plus the rank threshold
-    assert report.min_eigenvalue[certified].tolist() == (0.0 - defects[certified]).tolist()
+    # every operator's smallest eigenvalue and rank, bit for bit, are those of one
+    # eigensolve of the stack, symmetrized only when it breaks the Hermiticity rule
+    hermitian = bool(np.all(herm <= tol.eq_tol * np.maximum(1.0, norms)))
+    assert hermitian is (not variant.startswith("non_hermitian"))
+    w = np.linalg.eigvalsh(ops if hermitian else (ops + ops.conj().transpose(0, 2, 1)) / 2.0)
+    assert report.min_eigenvalue.tobytes() == w[:, 0].tobytes()
+    assert report.rank.tobytes() == np.count_nonzero(w > tol.psd_tol, axis=1).tobytes()
 
     # outcome probabilities of the states behind the POVM: the non-Hermitian
     # part breaks completeness by about 1e-6 in the states' directions

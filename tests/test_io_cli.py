@@ -650,6 +650,37 @@ def test_cli_shape_errors_name_the_numbers(tmp_path, capsys):
     assert not out_path.exists()
 
 
+DISCRIMINATE = ["discriminate", "--ensemble", "{ensemble}", "--k", "{k}"]
+
+
+@pytest.mark.parametrize("argv, edit, code, message, context", [
+    ([*DISCRIMINATE, "--trials", "-1"], {}, "invalid_ensemble",
+     "trials_per_state must be an integer in [0, 2**63), got -1", {"trials_per_state": -1}),
+    ([*DISCRIMINATE, "--trials", "1", "--seed", "-1"], {}, "param_out_of_range",
+     "seed must be an integer in [0, 2**128), got -1", {"seed": -1}),
+    (DISCRIMINATE, {"priors": [1.0]}, "invalid_ensemble",
+     "expected 2 priors, got shape (1,)", {"priors": 1, "states": 2}),
+    (DISCRIMINATE, {"priors": [0.5, 0.6]}, "invalid_ensemble",
+     "priors sum to 1.1, expected 1", {"total": 1.1}),
+    (["dual", "--states", "{ensemble}"], {"states": 3, "priors": [0.5, 0.25, 0.25]}, "invalid_states",
+     "need between 1 and 2 states in dimension 2, got 3", {"states": 3, "dim": 2}),
+    (["example", "--name", "fig1", "--param", "2"], {}, "param_out_of_range",
+     "gamma must lie strictly between 0 and 1, got 2.0", {"gamma": 2.0}),
+    (["example", "--name", "fig2", "--param", "nan"], {}, "param_out_of_range",
+     "z must be finite, got nan", {"z": "nan"}),
+], ids=["trials", "seed", "priors-count", "priors-sum", "state-count", "fig1-gamma", "fig2-z"])
+def test_cli_domain_errors_name_the_numbers(tmp_path, capsys, argv, edit, code, message, context):
+    # edit overrides the fig1 ensemble's fields; an integer "states" repeats its states to that count
+    k_path, ensemble_path = write_fig1_files(tmp_path)
+    doc = fig1_ensemble_doc()
+    if "states" in edit:
+        edit = {**edit, "states": (doc["states"] * edit["states"])[: edit["states"]]}
+    io.write_json(ensemble_path, {**doc, **edit})
+    argv = [arg.format(k=k_path, ensemble=ensemble_path) for arg in argv]
+    assert main(argv) == 2
+    assert one_envelope(capsys.readouterr().err) == {"code": code, "message": message, "context": context}
+
+
 def test_cli_discriminate_trials_byte_identical(tmp_path, capsys):
     k_path, ensemble_path = write_fig1_files(tmp_path)
     argv = [
@@ -683,7 +714,7 @@ def test_cli_discriminate_povm_with_trials_validates_once(tmp_path, capsys, monk
     argv = ["discriminate", "--ensemble", str(ensemble_path), "--povm", str(povm_path), "--trials", "100"]
     assert main(argv) == 0
     assert passes == [1]  # the load's validation; sampling reads the probability rule only
-    assert calls == [(1, 2, 2)]
+    assert calls == [(3, 2, 2)]  # the whole stack
     capsys.readouterr()
 
 

@@ -1,14 +1,17 @@
+import argparse
 import ast
 import copy
 import importlib
 import pickle
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import usd_kit
+from usd_kit import cli
 from usd_kit.errors import UsdKitError
 
 # The public surface, one name per identity.  A change to it is deliberate:
@@ -109,6 +112,22 @@ def test_docstring_cross_references_resolve():
             if not hasattr(importlib.import_module(f"usd_kit.{owner or path.stem}"), name):
                 broken.append(f"{path.name}: {ref}")
     assert seen and broken == []
+
+
+def test_readme_command_lines_parse():
+    # every usd-kit line of README's sh blocks (continuations joined) parses, and together they
+    # cover every subcommand: a renamed option or subcommand cannot leave the README behind
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    parser = cli.build_parser()
+    seen = set()
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["usd-kit"]:
+            seen.add(parser.parse_args(words[1:]).command)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert seen == set(commands)
 
 
 def _arrays(obj):
