@@ -54,11 +54,9 @@ def _tolerances_from_env() -> ToleranceContext:
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ParseError(f"{TOL_ENV_VAR} must be a real number, got {raw!r}") from exc
+        raise ParseError(f"{TOL_ENV_VAR} must be a real number, got {raw!r}", value=raw) from exc
     if not 1e-14 <= value <= 1e-6:
-        raise ParseError(
-            f"{TOL_ENV_VAR} must lie in [1e-14, 1e-6], got {value!r}"
-        )
+        raise ParseError(f"{TOL_ENV_VAR} must lie in [1e-14, 1e-6], got {value!r}", value=value)
     return ToleranceContext(eq_tol=value)
 
 
@@ -163,7 +161,7 @@ def _cmd_k_from_povm(args, ctx: ToleranceContext) -> int:
         try:
             phases = [float(x) for x in args.phases.split(",")]
         except ValueError as exc:
-            raise ParseError(f"cannot parse --phases {args.phases!r}") from exc
+            raise ParseError(f"cannot parse --phases {args.phases!r}", phases=args.phases) from exc
     le = lossy_from_povm(povm, basis, phases, ctx)
     io.write_json(args.out, io.matrix_doc(le.k))
     doc = {"out": str(args.out), "dim": le.dim, "spectral_norm": float(le.sv[0]), "passive": le.passive}

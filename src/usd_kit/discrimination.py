@@ -27,7 +27,7 @@ from .linalg import DEFAULT_TOL, ToleranceContext
 PRIOR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@linalg._record
 class StateEnsemble(linalg._Immutable):
     """States with preparation probabilities ``priors`` (nonnegative, sum 1)."""
 
@@ -43,7 +43,7 @@ class StateEnsemble(linalg._Immutable):
         return self.states.count
 
 
-@dataclass(frozen=True)
+@linalg._record
 class DiscriminationReport(linalg._Immutable):
     """Per-state and prior-weighted discrimination statistics.
 
@@ -81,7 +81,7 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 
-@dataclass(frozen=True)
+@linalg._record
 class OutcomeStats(linalg._Immutable):
     """Sampled outcome counts, one row of N+1 counts per prepared state."""
 
@@ -91,17 +91,18 @@ class OutcomeStats(linalg._Immutable):
 
 
 def state_ensemble(states: StateSet, priors) -> StateEnsemble:
-    """Validate priors against the state set and freeze the ensemble."""
+    """Validate priors against the state set; the ensemble keeps a read-only copy of them."""
     p = np.asarray(priors, dtype=float)
     if p.ndim != 1 or p.shape[0] != states.count:
         raise InvalidEnsemble(f"expected {states.count} priors, got shape {p.shape}",
                               priors=p.size, states=states.count)
-    if not ((p >= 0.0) & np.isfinite(p)).all():
-        raise InvalidEnsemble("priors must be finite and nonnegative")
+    if not (ok := (p >= 0.0) & np.isfinite(p)).all():
+        i = int(ok.argmin())  # the first bad prior
+        raise InvalidEnsemble("priors must be finite and nonnegative", prior=i + 1, value=float(p[i]))
     total = float(p.sum())
     if abs(total - 1.0) > PRIOR_TOL:
         raise InvalidEnsemble(f"priors sum to {total!r}, expected 1", total=total)
-    return StateEnsemble(states=states, priors=linalg.frozen(p))
+    return StateEnsemble(states=states, priors=p.copy())
 
 
 def density_matrix(e: StateEnsemble) -> np.ndarray:
@@ -171,9 +172,9 @@ def usd_report(e: StateEnsemble, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL
     inconclusive = probs[:, n]
     weights = e.priors
     return DiscriminationReport(
-        per_state_success=linalg._freeze(success),
-        error_matrix=linalg._freeze(errors),
-        inconclusive_per_state=linalg.frozen(inconclusive),
+        per_state_success=success,
+        error_matrix=errors,
+        inconclusive_per_state=inconclusive.copy(),
         total_success=float(weights @ success),
         total_error=float(weights @ errors.sum(axis=1)),
         total_inconclusive=float(weights @ inconclusive),
@@ -206,7 +207,7 @@ def sample_outcomes(
                               trials_per_state=trials)
     probs = _per_state_probabilities(e, p, ctx)
     counts = rng.generator().multinomial(trials, probs / probs.sum(axis=1, keepdims=True))
-    return OutcomeStats(counts=linalg._freeze(counts), trials=trials, seed=rng.seed)
+    return OutcomeStats(counts=counts, trials=trials, seed=rng.seed)
 
 
 def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
@@ -217,9 +218,8 @@ def outcome_probabilities(rho, p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) 
     """
     m = check_density_matrix(rho, ctx)
     if m.shape[0] != p.dim:
-        raise DimensionMismatch(
-            f"density matrix dimension {m.shape[0]} does not match POVM dimension {p.dim}"
-        )
+        raise DimensionMismatch(f"density matrix dimension {m.shape[0]} does not match POVM dimension {p.dim}",
+                                rho_dim=m.shape[0], povm_dim=p.dim)
     if p.stack is None:  # <u_j|rho|u_j> and tr(rho F_{N+1})
         hits = np.sum((p.vectors.conj() @ m) * p.vectors, axis=1).real
         probs = np.append(hits, np.einsum("ij,ji", m, p.inconclusive).real)
@@ -239,9 +239,8 @@ def post_measurement_state(rho, f, ctx: ToleranceContext = DEFAULT_TOL) -> np.nd
     m = check_density_matrix(rho, ctx)
     root = linalg.psd_sqrt(f, ctx)
     if root.shape != m.shape:
-        raise DimensionMismatch(
-            f"operator shape {root.shape} does not match state shape {m.shape}"
-        )
+        raise DimensionMismatch(f"operator shape {root.shape} does not match state shape {m.shape}",
+                                operator_dim=root.shape[0], state_dim=m.shape[0])
     updated = root @ m @ root.conj().T
     weight = float(np.trace(updated).real)
     if weight <= ctx.psd_tol:

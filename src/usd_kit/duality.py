@@ -9,7 +9,6 @@ is ``sigma_min(A)^2``; it and the duals read one SVD of the state matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, ToleranceContext
 
 
-@dataclass(frozen=True)
+@linalg._record
 class StateSet(linalg._Immutable):
     """Unit-norm state vectors stored as the columns of ``states``.
 
@@ -43,7 +42,7 @@ class StateSet(linalg._Immutable):
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # state_set fills this cache; a set built directly is checked here
-        return linalg.thin_svd(linalg.as_matrix(self.states, "states"))
+        return tuple(map(linalg._freeze, linalg.thin_svd(linalg.as_matrix(self.states, "states"))))
 
     @property
     def sv(self) -> np.ndarray:
@@ -54,7 +53,7 @@ class StateSet(linalg._Immutable):
         return self.states.shape[1]
 
 
-@dataclass(frozen=True, init=False)
+@linalg._record
 class PovmSet(linalg._Immutable):
     """Ordered positive operators ``F_1 .. F_{N+1}`` summing to identity: N
     rank-one detection operators and ``inconclusive``, ``F_{N+1}``.
@@ -81,12 +80,12 @@ class PovmSet(linalg._Immutable):
         except ValueError:  # a ragged sequence of matrices
             ops = None
         if dim < 1:
-            raise DimensionMismatch(f"POVM dimension must be at least 1, got {dim}")
+            raise DimensionMismatch(f"POVM dimension must be at least 1, got {dim}", dim=dim)
         if ops is None or ops.shape != (dim + 1, dim, dim):
-            raise DimensionMismatch(f"expected {dim + 1} operators of size {dim}x{dim}")
-        if not np.isfinite(ops).all():
-            raise InvalidMatrix("POVM operators contain NaN or Inf entries")
-        _dense_povm(linalg.frozen(ops) if ops.flags.writeable else ops, self)
+            raise DimensionMismatch(f"expected {dim + 1} operators of size {dim}x{dim}", dim=dim)
+        if not (finite := np.isfinite(ops).all(axis=(1, 2))).all():
+            raise InvalidMatrix("POVM operators contain NaN or Inf entries", operator=int(finite.argmin()) + 1)
+        _dense_povm(ops.copy() if ops.flags.writeable else ops, self)
 
     @property
     def operators(self) -> np.ndarray:
@@ -95,19 +94,15 @@ class PovmSet(linalg._Immutable):
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         if self.stack is None:  # a dense stack has no factor, and no svd
-            return linalg.thin_svd(self.vectors.conj())
-
-
-def _fill(p: PovmSet, **fields) -> PovmSet:
-    p.__dict__.update(fields)  # the frozen dataclass's fields, set once
-    return p
+            return tuple(map(linalg._freeze, linalg.thin_svd(self.vectors.conj())))
 
 
 def _dense_povm(ops: np.ndarray, p: PovmSet | None = None) -> PovmSet:
-    """The POVM of a finite read-only complex ``(N+1, N, N)`` stack that no caller
-    writes, filled into ``p`` (a new one without it): :class:`PovmSet`'s fields without its checks."""
+    """The POVM of a finite complex ``(N+1, N, N)`` stack, kept as it is, built into ``p``
+    (a new one without it): :class:`PovmSet`'s fields without its checks."""
     p = object.__new__(PovmSet) if p is None else p
-    return _fill(p, dim=len(ops) - 1, vectors=None, inconclusive=ops[-1], stack=ops)
+    linalg._Immutable.__init__(p, dim=len(ops) - 1, vectors=None, inconclusive=ops[-1], stack=ops)
+    return p
 
 
 def _dyad_stack(p: PovmSet) -> np.ndarray:
@@ -124,7 +119,7 @@ def _dyad_norms(p: PovmSet) -> np.ndarray:
     return np.sum(np.abs(p.vectors) ** 2, axis=1)
 
 
-@dataclass(frozen=True)
+@linalg._record
 class ValidationReport(linalg._Immutable):
     """Diagnostics of a POVM: read-only arrays with one entry per operator
     ``F_1 .. F_{N+1}`` (``hermiticity_residual`` ``||F_k - F_k^dag||_F``, the
@@ -153,12 +148,12 @@ def state_set(states, ctx: ToleranceContext = DEFAULT_TOL) -> StateSet:
     SingularStates
         If the columns are linearly dependent within ``cond_max``.
     """
-    return _state_set(linalg.frozen(linalg.as_matrix(states, "states")), ctx)
+    return _state_set(linalg.as_matrix(states, "states").copy(), ctx)
 
 
 def _state_set(m: np.ndarray, ctx: ToleranceContext, svd=None) -> StateSet:
-    """The checks of :func:`state_set` on a finite read-only complex matrix that
-    no caller writes: the set keeps it, and its one SVD (``svd``, else taken here), as they are."""
+    """The checks of :func:`state_set` on a finite complex matrix: the set keeps it, and
+    its one SVD (``svd``, else taken here), as they are."""
     dim, count = m.shape
     if count == 0 or count > dim:
         raise InvalidStateSet(f"need between 1 and {dim} states in dimension {dim}, got {count}",
@@ -170,8 +165,7 @@ def _state_set(m: np.ndarray, ctx: ToleranceContext, svd=None) -> StateSet:
             f"state norms deviate from 1 by {worst:.3e} (eq_tol {ctx.eq_tol:.1e})",
             worst_norm_deviation=worst,
         )
-    s = StateSet(dim=dim, states=m)
-    s.__dict__["svd"] = linalg.thin_svd(m) if svd is None else svd  # the cached_property's slot
+    s = StateSet(dim=dim, states=m, svd=linalg.thin_svd(m) if svd is None else svd)
     cond = linalg.sv_condition(s.sv)
     if cond > ctx.cond_max:
         raise SingularStates("states are linearly dependent within tolerance", condition_number=cond)
@@ -199,13 +193,15 @@ def dual_set(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
 def rank_one_povm(rows: np.ndarray, svd=None) -> PovmSet:
     """The factored POVM ``F_i = |u_i><u_i|`` of the rows ``u_i`` of ``rows``,
     completed by ``I - U^T U^*`` (``sum_i |u_i><u_i|`` in one product),
-    Hermitian-symmetrized.  Keeps ``rows``, which must be read-only, and ``svd``,
-    the read-only SVD of the factor ``M = U^*`` when the caller knows it.
+    Hermitian-symmetrized.  Keeps ``rows`` and ``svd``, the SVD of the factor
+    ``M = U^*`` when the caller knows it, as they are.
     """
     completion = linalg._identity(rows.shape[1]) - rows.T @ rows.conj()
-    p = _fill(object.__new__(PovmSet), dim=rows.shape[1], vectors=rows, stack=None,
-              inconclusive=linalg._freeze((completion + completion.conj().T) / 2.0))
-    return p if svd is None else _fill(p, svd=svd)
+    p = object.__new__(PovmSet)
+    linalg._Immutable.__init__(p, dim=rows.shape[1], vectors=rows, stack=None,
+                               inconclusive=(completion + completion.conj().T) / 2.0,
+                               **({} if svd is None else {"svd": svd}))
+    return p
 
 
 def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TOL) -> PovmSet:
@@ -233,12 +229,14 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
     if weights is None:  # M's singular values s_min / s_i reversed to descend: the largest is 1
         u, sv, vh = s.svd
         m_svd = np.conjugate(vh[::-1].T, order="C"), sv[-1] / sv[::-1], np.conjugate(u[:, ::-1].T, order="C")
-        return rank_one_povm(linalg._freeze(sv[-1] * duals.T), tuple(map(linalg._freeze, m_svd)))
+        return rank_one_povm(sv[-1] * duals.T, m_svd)
     lambdas = np.asarray(weights, dtype=float)
     if lambdas.shape != (n,):
-        raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}")
-    if not np.all((lambdas > 0.0) & np.isfinite(lambdas)):
-        raise ParamOutOfRange("scaling weights must be finite and strictly positive")
+        raise DimensionMismatch(f"expected {n} scaling weights, got {lambdas.shape}", weights=lambdas.size, dim=n)
+    bad = np.flatnonzero(~((lambdas > 0.0) & np.isfinite(lambdas)))
+    if bad.size:
+        raise ParamOutOfRange("scaling weights must be finite and strictly positive",
+                              weight=int(bad[0]) + 1, value=float(lambdas[bad[0]]))
     # compared, not multiplied: lambda_i ||d_i||^2 can overflow, and ||d_i|| >= 1
     limit = (1.0 + ctx.psd_tol) / np.sum(np.abs(duals) ** 2, axis=0)
     bad = np.flatnonzero(lambdas > limit)
@@ -249,7 +247,7 @@ def build_usd_povm(s: StateSet, weights=None, ctx: ToleranceContext = DEFAULT_TO
             weight=float(lambdas[bad[0]]),
             limit=float(limit[bad[0]]),
         )
-    p = rank_one_povm(linalg._freeze(np.sqrt(lambdas)[:, None] * duals.T))
+    p = rank_one_povm(np.sqrt(lambdas)[:, None] * duals.T)
     min_eig = float(np.linalg.eigvalsh(p.inconclusive)[0])
     if min_eig < -ctx.psd_tol:
         raise InfeasibleScaling(
@@ -369,10 +367,10 @@ def validate_povm(p: PovmSet, ctx: ToleranceContext = DEFAULT_TOL) -> Validation
         min_eig, ranks = w[:, 0], np.count_nonzero(w > ctx.psd_tol, axis=1)
         completeness = linalg.frobenius(ops.sum(axis=0) - linalg._identity(n))
     return ValidationReport(
-        hermiticity_residual=linalg._freeze(herm),
-        min_eigenvalue=linalg._freeze(min_eig),
-        rank=linalg._freeze(ranks),
-        rank_one=linalg._freeze(rank_one),
+        hermiticity_residual=herm,
+        min_eigenvalue=min_eig,
+        rank=ranks,
+        rank_one=rank_one,
         completeness_residual=float(completeness),
         valid=bool(hermitian and np.all(min_eig >= -ctx.psd_tol) and completeness <= ctx.eq_tol),
     )
@@ -383,15 +381,14 @@ def check_density_matrix(rho, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray
     m = linalg.require_square(rho, "density matrix")
     herm, hermitian = linalg.hermiticity(m, ctx)
     if not hermitian:
-        raise InvalidDensityMatrix(f"density matrix is not Hermitian (residual {herm:.3e})")
+        raise InvalidDensityMatrix(f"density matrix is not Hermitian (residual {herm:.3e})", residual=herm)
     trace = float(np.trace(m).real)
     if abs(trace - 1.0) > ctx.eq_tol:
-        raise InvalidDensityMatrix(f"density matrix trace is {trace!r}, expected 1")
+        raise InvalidDensityMatrix(f"density matrix trace is {trace!r}, expected 1", trace=trace)
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
     if min_eig < -ctx.psd_tol:
-        raise InvalidDensityMatrix(
-            f"density matrix has eigenvalue {min_eig:.3e} below -psd_tol"
-        )
+        raise InvalidDensityMatrix(f"density matrix has eigenvalue {min_eig:.3e} below -psd_tol",
+                                   min_eigenvalue=min_eig)
     return m
 
 
@@ -408,4 +405,4 @@ def subspace_reduce(s: StateSet, ctx: ToleranceContext = DEFAULT_TOL) -> tuple[S
         When the states are linearly dependent within ``cond_max``.
     """
     u, sv, vh = s.svd
-    return _state_set(linalg._freeze(sv[:, None] * vh), ctx, (linalg._identity(len(sv)), sv, vh)), u
+    return _state_set(sv[:, None] * vh, ctx, (linalg._identity(len(sv)), sv, vh)), u

@@ -10,7 +10,6 @@ are two views of the same constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, ToleranceContext
 
 
-@dataclass(frozen=True)
+@linalg._record
 class LossyEvolution(linalg._Immutable):
     """Evolution operator with its one SVD ``svd = (U, s, V^dag)``, ``sv = s``.
 
@@ -51,7 +50,7 @@ class LossyEvolution(linalg._Immutable):
         return self.k.shape[0]
 
 
-@dataclass(frozen=True)
+@linalg._record
 class ProjectiveBasis(linalg._Immutable):
     """Orthonormal measurement basis; column i defines the projector onto it."""
 
@@ -63,10 +62,10 @@ class ProjectiveBasis(linalg._Immutable):
 
 
 def projective_basis(psi, ctx: ToleranceContext = DEFAULT_TOL) -> ProjectiveBasis:
-    """Validate unitarity of the basis matrix and freeze it."""
+    """Validate unitarity of the basis matrix and keep a read-only copy."""
     m = linalg.require_square(psi, "basis")
     linalg.check_unitary(m, ctx, "basis matrix")
-    return ProjectiveBasis(psi=linalg.frozen(m))
+    return ProjectiveBasis(psi=m.copy())
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -93,14 +92,14 @@ def _require_passive(le: LossyEvolution, why: str) -> None:
 
 
 def _lossy(k: np.ndarray, ctx: ToleranceContext, svd=None) -> LossyEvolution:
-    """Wrap a finite read-only complex ``k`` with its SVD (taken when not given) and passiveness."""
+    """Wrap a finite complex ``k``, kept as it is, with its SVD (taken when not given) and passiveness."""
     svd = linalg.thin_svd(k) if svd is None else svd
     return LossyEvolution(k=k, svd=svd, passive=_passive(svd[1][0], ctx))
 
 
 def make_lossy(k, ctx: ToleranceContext = DEFAULT_TOL) -> LossyEvolution:
     """Wrap a square operator, copied, with its one SVD and passiveness."""
-    return _lossy(linalg.frozen(linalg.require_square(k, "evolution operator")), ctx)
+    return _lossy(linalg.require_square(k, "evolution operator").copy(), ctx)
 
 
 def normalize_passive(
@@ -125,17 +124,16 @@ def normalize_passive(
     top = float(le.sv[0])
     scale = top if gamma is None else float(gamma)
     if not np.isfinite(scale):
-        raise ParamOutOfRange(f"rescaling factor must be finite, got {scale!r}")
+        raise ParamOutOfRange(f"rescaling factor must be finite, got {scale!r}", gamma=scale)
     if scale <= 0.0:
-        raise GammaTooSmall(f"cannot rescale by nonpositive factor {scale!r}")
+        raise GammaTooSmall(f"cannot rescale by nonpositive factor {scale!r}", gamma=scale)
     if not _passive(top / scale, ctx):  # checked before k / gamma can overflow
         raise GammaTooSmall(
             f"rescaling factor {scale!r} leaves the spectral norm {top!r} above 1 + eq_tol",
             spectral_norm=top,
         )
     u, s, vh = le.svd
-    k = linalg._freeze(linalg.as_matrix(le.k / scale, "evolution operator"))
-    return _lossy(k, ctx, (u, linalg._freeze(s / scale), vh))
+    return _lossy(linalg.as_matrix(le.k / scale, "evolution operator"), ctx, (u, s / scale, vh))
 
 
 def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
@@ -150,8 +148,7 @@ def povm_from_lossy(le: LossyEvolution, basis: ProjectiveBasis) -> PovmSet:
     """
     _require_passive(le, "the completion operator would be indefinite")
     _check_basis(basis, le.dim)
-    return rank_one_povm(linalg._freeze((le.k.conj().T @ basis.psi).T),
-                         (linalg._freeze(basis.psi.conj().T @ le.svd[0]), *le.svd[1:]))
+    return rank_one_povm((le.k.conj().T @ basis.psi).T, (basis.psi.conj().T @ le.svd[0], *le.svd[1:]))
 
 
 def lossy_from_povm(
@@ -219,11 +216,11 @@ def lossy_from_povm(
     if bad.size:
         raise RankMismatch(f"detection operator {bad[0] + 1} is not rank one", operator=int(bad[0]) + 1)
     rotations = np.exp(1j * phi)
-    k = linalg._freeze(linalg.as_matrix(psi @ ((rotations / np.sqrt(weights))[:, None] * rows), "operator"))
+    k = linalg.as_matrix(psi @ ((rotations / np.sqrt(weights))[:, None] * rows), "operator")
     if p.stack is not None:
         return _lossy(k, ctx)
     u, s, vh = p.svd  # Theta = e^{i phi} o / |o| for the overlaps o
-    return _lossy(k, ctx, (linalg._freeze(psi @ ((rotations * overlaps / np.abs(overlaps))[:, None] * u)), s, vh))
+    return _lossy(k, ctx, (psi @ ((rotations * overlaps / np.abs(overlaps))[:, None] * u), s, vh))
 
 
 def dyadic_form(
@@ -260,7 +257,7 @@ def discriminable_states(
     u, sv, vh = le.svd
     linalg.check_invertible(sv, ctx)
     raw = (vh.conj().T / sv) @ (u.conj().T @ basis.psi)
-    return _state_set(linalg._freeze(linalg.as_matrix(raw / np.linalg.norm(raw, axis=0), "states")), ctx)
+    return _state_set(linalg.as_matrix(raw / np.linalg.norm(raw, axis=0), "states"), ctx)
 
 
 def dilate_unitary(le: LossyEvolution) -> np.ndarray:
@@ -298,10 +295,9 @@ def reduced_evolution(
     n = um.shape[0]
     linalg.check_unitary(um, ctx, "matrix")
     if not 0 < subspace_dim <= n:
-        raise DimensionMismatch(
-            f"subspace dimension {subspace_dim} out of range for size {n}"
-        )
-    le = _lossy(linalg.frozen(um[:subspace_dim, :subspace_dim]), ctx)
+        raise DimensionMismatch(f"subspace dimension {subspace_dim} out of range for size {n}",
+                                subspace_dim=subspace_dim, dim=n)
+    le = _lossy(um[:subspace_dim, :subspace_dim].copy(), ctx)
     _require_passive(le, "a block of a unitary stretches no direction")
     return le
 

@@ -184,7 +184,7 @@ def ensemble_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble
     priors = _floats(priors, (len(priors),)) if isinstance(priors, list) else None
     if priors is None:
         raise ParseError("ensemble: priors must be a list of finite numbers")
-    return state_ensemble(_state_set(linalg._freeze(states.T), ctx), priors)  # _pairs checked every entry
+    return state_ensemble(_state_set(states.T, ctx), priors)  # _pairs checked every entry
 
 
 # -- POVM documents ------------------------------------------------------------
@@ -213,7 +213,7 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     raw_ops = doc["operators"]
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
         raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
-    ops = linalg._freeze(_pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}"))
+    ops = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}")
     p = _dense_povm(ops)  # without PovmSet's checks, which _pairs has made
     if validate:
         report = validate_povm(p, ctx)
@@ -235,17 +235,17 @@ def read_json(path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise ParseError(f"{path} is not UTF-8 text: {exc}", path=str(path)) from exc
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the decoder's limit
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise ParseError(f"{path} is not valid JSON: {exc}", path=str(path)) from exc
 
 
 def write_json(path, doc) -> None:
     try:
         Path(path).write_text(render_json(doc) + "\n", encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
+        raise ParseError(f"cannot write {path}: {exc}", path=str(path)) from exc

@@ -62,11 +62,6 @@ class ToleranceContext:
 DEFAULT_TOL = ToleranceContext()
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only copy, safe to share across threads."""
-    return _freeze(np.array(a, copy=True))
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Make ``a`` read-only in place and return it: for fresh arrays no caller holds."""
     a.setflags(write=False)
@@ -74,9 +69,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class _Immutable:
-    """Base of the result dataclasses, whose arrays and mappings are read-only: ``copy``
-    and ``deepcopy`` return the object itself, a read-only mapping pickles as a dict,
-    and unpickling freezes every array and wraps every dict again."""
+    """Base of the result records (``_record``).  Its one initializer takes every field, and a cached
+    ``svd``, by keyword; it makes each array, and each array of a tuple (an SVD), read-only in place
+    and wraps each dict in a read-only mapping, however the record is built.  ``copy`` and ``deepcopy``
+    return the object itself, and unpickling runs the initializer again."""
+
+    def __init__(self, **fields):
+        for key, value in fields.items():  # setflags(False) is write=False: numpy parses a keyword slower
+            if isinstance(value, np.ndarray):
+                value.setflags(False)
+            elif isinstance(value, tuple):  # an SVD
+                for item in value:
+                    item.setflags(False)
+            elif isinstance(value, dict):
+                fields[key] = MappingProxyType(value)
+        self.__dict__.update(fields)
 
     def __copy__(self):
         return self
@@ -88,13 +95,11 @@ class _Immutable:
         return {key: dict(v) if isinstance(v, MappingProxyType) else v for key, v in vars(self).items()}
 
     def __setstate__(self, state: dict) -> None:
-        for key, value in state.items():  # an array, a tuple of them such as an SVD, or a dict
-            for item in value if isinstance(value, tuple) else (value,):
-                if isinstance(item, np.ndarray):
-                    _freeze(item)
-            if isinstance(value, dict):
-                state[key] = MappingProxyType(value)
-        self.__dict__.update(state)
+        _Immutable.__init__(self, **state)
+
+
+# every result record's decorator: fields set once by _Immutable.__init__, identity equality and hash
+_record = dataclass(frozen=True, init=False, eq=False)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -107,9 +112,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting NaN/Inf entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
-        raise InvalidMatrix(f"{name} must be 2-dimensional, got ndim={m.ndim}")
+        raise InvalidMatrix(f"{name} must be 2-dimensional, got ndim={m.ndim}", ndim=m.ndim)
     if m.size == 0:
-        raise InvalidMatrix(f"{name} must not be empty")
+        raise InvalidMatrix(f"{name} must not be empty", rows=m.shape[0], cols=m.shape[1])
     if not np.isfinite(m).all():
         raise InvalidMatrix(f"{name} contains NaN or Inf entries")
     return m
@@ -183,11 +188,9 @@ def singular_values(k) -> np.ndarray:
 
 
 def thin_svd(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``(U, s, V^dag)`` of ``k``, ``s`` descending, made read-only in place (copies of
-    live factors cost an N=64 pipeline about 3 MB of peak RSS).  ``k`` must be a finite complex
+    """Thin SVD ``(U, s, V^dag)`` of ``k``, ``s`` descending.  ``k`` must be a finite complex
     matrix that its caller has already validated (:func:`as_matrix`): it is not checked here."""
-    u, s, vh = np.linalg.svd(k, full_matrices=False)
-    return _freeze(u), _freeze(s), _freeze(vh)
+    return tuple(np.linalg.svd(k, full_matrices=False))
 
 
 def spectral_norm(k) -> float:
@@ -226,7 +229,7 @@ def unitary_exp(h, t: float, ctx: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     ``ParamOutOfRange``.
     """
     if not np.isfinite(t):
-        raise ParamOutOfRange(f"evolution time must be finite, got {t!r}")
+        raise ParamOutOfRange(f"evolution time must be finite, got {t!r}", t=t)
     w, v = _hermitian_eigen(h, ctx)
     phases = np.exp(-1j * w * float(t))
     return (v * phases) @ v.conj().T

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .errors import ParamOutOfRange
 from .linalg import DEFAULT_TOL, ToleranceContext
 
 
-@dataclass(frozen=True)
+@linalg._record
 class Scenario(linalg._Immutable):
     name: str
     k: LossyEvolution
@@ -69,16 +67,16 @@ def _check_gamma(gamma: float) -> float:
 def fig1_scenario(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
     """Beam splitter plus attenuator discriminating two symmetric states."""
     g = _check_gamma(gamma)
-    k = _lossy(linalg._freeze(beam_splitter_attenuator(g)), ctx)  # finite for every valid gamma
+    k = _lossy(beam_splitter_attenuator(g), ctx)  # finite for every valid gamma
     basis = computational_basis(2)
     states = discriminable_states(k, basis, ctx)
     norm_sq = 1.0 + g * g
-    expected = MappingProxyType({
+    expected = {
         "output_amplitude": math.sqrt(2.0) * g / math.sqrt(norm_sq),
         "success_per_state": 2.0 * g * g / norm_sq,
         "inconclusive": (1.0 - g * g) / norm_sq,
         "overlap": (1.0 - g * g) / norm_sq,
-    })
+    }
     return Scenario(name="fig1", k=k, basis=basis, input_states=states, expected=expected)
 
 
@@ -121,20 +119,20 @@ def fig2_scenario(z: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:
     col_norm_sq = (abs(diag) ** 2 + abs(off) ** 2) / abs(det) ** 2
     beta = 1.0 / math.sqrt(col_norm_sq)
     overlap = abs(2.0 * (diag.conjugate() * -off).real) / (abs(diag) ** 2 + abs(off) ** 2)
-    expected = MappingProxyType({
+    expected = {
         "beta_magnitude": beta,
         "success_per_state": beta * beta,
         "inconclusive": 1.0 - beta * beta,
         "overlap": overlap,
         "spectral_norm": 1.0,
-    })
+    }
     return Scenario(
         name="fig2",
         k=k,
         basis=basis,
         input_states=states,
         expected=expected,
-        full_unitary=linalg._freeze(full_u),
+        full_unitary=full_u,
     )
 
 
@@ -146,9 +144,9 @@ def fig1_as_embedding(gamma: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scen
     probability of the lossy scheme.
     """
     base = fig1_scenario(gamma, ctx)
-    full_u = dilate_unitary(base.k)
-    expected = MappingProxyType({**base.expected, "ancilla_mass": base.expected["inconclusive"]})
-    return replace(base, name="fig1-embed", expected=expected, full_unitary=linalg._freeze(full_u))
+    return Scenario(name="fig1-embed", k=base.k, basis=base.basis, input_states=base.input_states,
+                    expected={**base.expected, "ancilla_mass": base.expected["inconclusive"]},
+                    full_unitary=dilate_unitary(base.k))
 
 
 def build_scenario(name: str, param: float, ctx: ToleranceContext = DEFAULT_TOL) -> Scenario:

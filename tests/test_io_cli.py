@@ -64,6 +64,16 @@ def test_render_json_is_deterministic():
     assert io.render_json(doc) == io.render_json(doc)
 
 
+def test_render_json_rejects_an_unknown_type():
+    with pytest.raises(TypeError, match="cannot serialize value of type object"):
+        io.render_json({"x": object()})
+
+
+def test_render_json_walks_ragged_float_lists():
+    # rows of two lengths are no block: the walk writes each float, 1.0 as 1 and -0.0 as -0.0
+    assert io.render_json({"a": [[1.0], [2.0, -0.0]]}) == '{"a": [[1], [2, -0.0]]}'
+
+
 # -- matrix documents ----------------------------------------------------------
 
 def test_matrix_doc_roundtrip_bit_for_bit():
@@ -679,6 +689,44 @@ def test_cli_domain_errors_name_the_numbers(tmp_path, capsys, argv, edit, code, 
     argv = [arg.format(k=k_path, ensemble=ensemble_path) for arg in argv]
     assert main(argv) == 2
     assert one_envelope(capsys.readouterr().err) == {"code": code, "message": message, "context": context}
+
+
+@pytest.mark.parametrize("env, argv, message, context", [
+    ("abc", ["dual", "--states", "{ensemble}"], "USD_KIT_TOL must be a real number, got 'abc'", {"value": "abc"}),
+    ("0.5", ["dual", "--states", "{ensemble}"], "USD_KIT_TOL must lie in [1e-14, 1e-6], got 0.5", {"value": 0.5}),
+    (None, ["k-from-povm", "--povm", "{povm}", "--phases", "1,x", "--out", "{out}"],
+     "cannot parse --phases '1,x'", {"phases": "1,x"}),
+], ids=["tol-not-a-number", "tol-out-of-range", "phases"])
+def test_cli_input_errors_name_the_input(tmp_path, capsys, monkeypatch, env, argv, message, context):
+    _, ensemble_path = write_fig1_files(tmp_path)
+    povm_path, out_path = tmp_path / "povm.json", tmp_path / "out.json"
+    io.write_json(povm_path, fig1_povm_doc())
+    if env is not None:
+        monkeypatch.setenv("USD_KIT_TOL", env)
+    assert main([arg.format(ensemble=ensemble_path, povm=povm_path, out=out_path) for arg in argv]) == 1
+    assert one_envelope(capsys.readouterr().err) == {"code": "parse_error", "message": message, "context": context}
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("content, argv, reason", [
+    (None, ["dual", "--states", "{file}"], "cannot read {file}: [Errno 2] No such file or directory: '{file}'"),
+    (b"\xff{", ["validate", "--povm", "{file}"],
+     "{file} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"{", ["validate", "--povm", "{file}"],
+     "{file} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (None, ["embed", "--k", "{k}", "--out", "{file}"],
+     "cannot write {file}: [Errno 2] No such file or directory: '{file}'"),
+], ids=["read-missing", "read-not-utf8", "read-not-json", "write-into-missing-directory"])
+def test_cli_file_errors_name_the_path(tmp_path, capsys, content, argv, reason):
+    k_path, _ = write_fig1_files(tmp_path)
+    file = tmp_path / "missing" / "doc.json"
+    if content is not None:
+        file.parent.mkdir()
+        file.write_bytes(content)
+    assert main([arg.format(k=k_path, file=file) for arg in argv]) == 1
+    assert one_envelope(capsys.readouterr().err) == {
+        "code": "parse_error", "message": reason.format(file=file), "context": {"path": str(file)},
+    }
 
 
 def test_cli_discriminate_trials_byte_identical(tmp_path, capsys):

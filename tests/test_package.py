@@ -12,6 +12,7 @@ import pytest
 
 import usd_kit
 from usd_kit import cli
+from usd_kit.duality import check_density_matrix
 from usd_kit.errors import UsdKitError
 
 # The public surface, one name per identity.  A change to it is deliberate:
@@ -163,6 +164,8 @@ def test_results_stay_read_only_through_copy_deepcopy_and_pickle():
         arrays = _arrays(back)
         assert arrays and not any(a.flags.writeable for a in arrays), type(result).__name__
         assert all(np.array_equal(a, b) for a, b in zip(arrays, _arrays(result)))
+        for x, y in ((result, back), (back, result)):  # records compare and hash by identity
+            assert x == x and x != y and x in [y, x] and len({x, y, x}) == 2
     for scenario in (usd_kit.build_scenario(name, 0.5) for name in ("fig1", "fig2", "fig1-embed")):
         for result in (scenario, copy.deepcopy(scenario), pickle.loads(pickle.dumps(scenario))):
             with pytest.raises(TypeError):
@@ -171,3 +174,78 @@ def test_results_stay_read_only_through_copy_deepcopy_and_pickle():
     assert "svd" in vars(pickle.loads(pickle.dumps(s)))  # the cached SVD travels with the set
     svd = vars(pickle.loads(pickle.dumps(povm)))["svd"]  # and so does the built POVM's
     assert all(not a.flags.writeable and np.array_equal(a, b) for a, b in zip(svd, povm.svd))
+
+
+def test_records_built_directly_are_read_only():
+    # the one initializer freezes what it is given: arrays in place, the arrays of an SVD, and dicts
+    eye = np.eye(2, dtype=complex)
+    s = usd_kit.StateSet(dim=2, states=eye)
+    assert s.states is eye and not eye.flags.writeable
+    le = usd_kit.LossyEvolution(k=np.eye(2, dtype=complex), svd=tuple(np.linalg.svd(np.eye(2))), passive=True)
+    assert not any(a.flags.writeable for a in (le.k, *le.svd))
+    scenario = usd_kit.Scenario(name="eye", k=le, basis=usd_kit.computational_basis(2), input_states=s,
+                                expected={"overlap": 0.0})
+    with pytest.raises(TypeError):
+        scenario.expected["overlap"] = 1.0
+    assert scenario.full_unitary is None
+
+
+def test_public_factories_copy_what_the_caller_passes():
+    # each factory keeps a read-only copy, so the caller's array stays writeable
+    states, k, psi, u = (np.eye(n, dtype=complex) for n in (2, 2, 2, 3))
+    priors = np.array([0.5, 0.5])
+    stack = np.array(usd_kit.build_usd_povm(usd_kit.state_set(np.eye(2))).operators)
+    kept = [
+        (states, usd_kit.state_set(states).states),
+        (k, usd_kit.make_lossy(k).k),
+        (psi, usd_kit.projective_basis(psi).psi),
+        (priors, usd_kit.state_ensemble(usd_kit.state_set(np.eye(2)), priors).priors),
+        (stack, usd_kit.PovmSet(2, stack).stack),
+        (u, usd_kit.reduced_evolution(u, 2).k),
+    ]
+    for given, copy_ in kept:
+        assert given.flags.writeable and not copy_.flags.writeable and not np.shares_memory(given, copy_)
+
+
+LIBRARY_ERRORS = [
+    (lambda: usd_kit.state_ensemble(usd_kit.state_set(np.eye(2)), [1.5, -0.5]),
+     "priors must be finite and nonnegative", {"prior": 2, "value": -0.5}),
+    (lambda: usd_kit.outcome_probabilities(np.eye(2) / 2.0, usd_kit.build_usd_povm(usd_kit.state_set(np.eye(3)))),
+     "density matrix dimension 2 does not match POVM dimension 3", {"rho_dim": 2, "povm_dim": 3}),
+    (lambda: usd_kit.post_measurement_state(np.eye(2) / 2.0, np.eye(3)),
+     "operator shape (3, 3) does not match state shape (2, 2)", {"operator_dim": 3, "state_dim": 2}),
+    (lambda: usd_kit.PovmSet(0, []), "POVM dimension must be at least 1, got 0", {"dim": 0}),
+    (lambda: usd_kit.PovmSet(2, np.zeros((2, 2, 2))), "expected 3 operators of size 2x2", {"dim": 2}),
+    (lambda: usd_kit.PovmSet(1, [[[1.0]], [[np.nan]]]), "POVM operators contain NaN or Inf entries",
+     {"operator": 2}),
+    (lambda: usd_kit.build_usd_povm(usd_kit.state_set(np.eye(2)), [0.5]),
+     "expected 2 scaling weights, got (1,)", {"weights": 1, "dim": 2}),
+    (lambda: usd_kit.build_usd_povm(usd_kit.state_set(np.eye(2)), [0.5, -1.0]),
+     "scaling weights must be finite and strictly positive", {"weight": 2, "value": -1.0}),
+    (lambda: check_density_matrix([[0.5, 1.0], [0.0, 0.5]]),
+     "density matrix is not Hermitian (residual 1.414e+00)", {"residual": 2.0**0.5}),
+    (lambda: check_density_matrix(np.eye(2)), "density matrix trace is 2.0, expected 1", {"trace": 2.0}),
+    (lambda: check_density_matrix(np.diag([1.5, -0.5])),
+     "density matrix has eigenvalue -5.000e-01 below -psd_tol", {"min_eigenvalue": -0.5}),
+    (lambda: usd_kit.normalize_passive(usd_kit.make_lossy(np.eye(2)), float("inf")),
+     "rescaling factor must be finite, got inf", {"gamma": float("inf")}),
+    (lambda: usd_kit.normalize_passive(usd_kit.make_lossy(np.eye(2)), -1.0),
+     "cannot rescale by nonpositive factor -1.0", {"gamma": -1.0}),
+    (lambda: usd_kit.reduced_evolution(np.eye(2), 3), "subspace dimension 3 out of range for size 2",
+     {"subspace_dim": 3, "dim": 2}),
+    (lambda: usd_kit.make_lossy(np.zeros(3)), "evolution operator must be 2-dimensional, got ndim=1", {"ndim": 1}),
+    (lambda: usd_kit.make_lossy(np.zeros((0, 3))), "evolution operator must not be empty", {"rows": 0, "cols": 3}),
+    (lambda: usd_kit.unitary_exp(np.eye(2), float("inf")), "evolution time must be finite, got inf",
+     {"t": float("inf")}),
+]
+
+
+@pytest.mark.parametrize("call, message, context", LIBRARY_ERRORS, ids=[
+    "prior", "rho-dim", "operator-dim", "povm-dim", "povm-shape", "povm-finite", "weights-count", "weight-value",
+    "rho-hermitian", "rho-trace", "rho-positive", "gamma-finite", "gamma-positive", "subspace-dim",
+    "matrix-ndim", "matrix-empty", "time-finite",
+])
+def test_library_errors_name_the_numbers(call, message, context):
+    with pytest.raises(UsdKitError) as info:
+        call()
+    assert (str(info.value), info.value.context) == (message, context)
