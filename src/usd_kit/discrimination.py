@@ -27,7 +27,6 @@ from .linalg import DEFAULT_TOL, ToleranceContext
 PRIOR_TOL = 1e-12
 
 
-@linalg._record
 class StateEnsemble(linalg._Immutable):
     """States with preparation probabilities ``priors`` (nonnegative, sum 1)."""
 
@@ -43,7 +42,6 @@ class StateEnsemble(linalg._Immutable):
         return self.states.count
 
 
-@linalg._record
 class DiscriminationReport(linalg._Immutable):
     """Per-state and prior-weighted discrimination statistics.
 
@@ -81,7 +79,6 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 
-@linalg._record
 class OutcomeStats(linalg._Immutable):
     """Sampled outcome counts, one row of N+1 counts per prepared state."""
 

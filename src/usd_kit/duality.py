@@ -26,7 +26,6 @@ from .errors import (
 from .linalg import DEFAULT_TOL, ToleranceContext
 
 
-@linalg._record
 class StateSet(linalg._Immutable):
     """Unit-norm state vectors stored as the columns of ``states``.
 
@@ -53,7 +52,6 @@ class StateSet(linalg._Immutable):
         return self.states.shape[1]
 
 
-@linalg._record
 class PovmSet(linalg._Immutable):
     """Ordered positive operators ``F_1 .. F_{N+1}`` summing to identity: N
     rank-one detection operators and ``inconclusive``, ``F_{N+1}``.
@@ -119,7 +117,6 @@ def _dyad_norms(p: PovmSet) -> np.ndarray:
     return np.sum(np.abs(p.vectors) ** 2, axis=1)
 
 
-@linalg._record
 class ValidationReport(linalg._Immutable):
     """Diagnostics of a POVM: read-only arrays with one entry per operator
     ``F_1 .. F_{N+1}`` (``hermiticity_residual`` ``||F_k - F_k^dag||_F``, the

@@ -28,7 +28,6 @@ from .errors import (
 from .linalg import DEFAULT_TOL, ToleranceContext
 
 
-@linalg._record
 class LossyEvolution(linalg._Immutable):
     """Evolution operator with its one SVD ``svd = (U, s, V^dag)``, ``sv = s``.
 
@@ -50,7 +49,6 @@ class LossyEvolution(linalg._Immutable):
         return self.k.shape[0]
 
 
-@linalg._record
 class ProjectiveBasis(linalg._Immutable):
     """Orthonormal measurement basis; column i defines the projector onto it."""
 

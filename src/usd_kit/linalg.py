@@ -12,8 +12,8 @@ condition number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import MISSING, dataclass
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -69,12 +69,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class _Immutable:
-    """Base of the result records (``_record``).  Its one initializer takes every field, and a cached
-    ``svd``, by keyword; it makes each array, and each array of a tuple (an SVD), read-only in place
-    and wraps each dict in a read-only mapping, however the record is built.  ``copy`` and ``deepcopy``
-    return the object itself, and unpickling runs the initializer again."""
+    """Base of the result records: each subclass is a frozen dataclass that compares and hashes by identity.
+    Its one initializer takes every field, and a cached ``svd``, by keyword (a missing or unknown name raises
+    ``TypeError``); it makes each array, and each array of a tuple (an SVD), read-only in place and wraps each
+    dict in a read-only mapping.  ``copy`` and ``deepcopy`` return the object; unpickling runs the initializer."""
+
+    def __init_subclass__(cls):
+        declared = dataclass(frozen=True, init=False, eq=False)(cls).__dataclass_fields__.values()
+        cls._names = frozenset(f.name for f in declared)
+        cls._required = frozenset(f.name for f in declared if f.default is MISSING)
+        cls._allowed = cls._names | {k for k, v in vars(cls).items() if isinstance(v, cached_property)}
 
     def __init__(self, **fields):
+        keys = fields.keys()  # the exact name sets first: they are the common cases, and cheaper to compare
+        if keys != self._names and keys != self._allowed and not self._required <= keys <= self._allowed:
+            missing, unknown = sorted(self._required - keys), sorted(keys - self._allowed)
+            raise TypeError(f"{type(self).__name__}: missing fields {missing}, unknown fields {unknown}")
         for key, value in fields.items():  # setflags(False) is write=False: numpy parses a keyword slower
             if isinstance(value, np.ndarray):
                 value.setflags(False)
@@ -96,10 +106,6 @@ class _Immutable:
 
     def __setstate__(self, state: dict) -> None:
         _Immutable.__init__(self, **state)
-
-
-# every result record's decorator: fields set once by _Immutable.__init__, identity equality and hash
-_record = dataclass(frozen=True, init=False, eq=False)
 
 
 @lru_cache(maxsize=None, typed=True)

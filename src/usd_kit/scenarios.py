@@ -29,7 +29,6 @@ from .errors import ParamOutOfRange
 from .linalg import DEFAULT_TOL, ToleranceContext
 
 
-@linalg._record
 class Scenario(linalg._Immutable):
     name: str
     k: LossyEvolution

@@ -1,6 +1,8 @@
 import argparse
 import ast
 import copy
+import dataclasses
+import functools
 import importlib
 import pickle
 import re
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import usd_kit
-from usd_kit import cli
+from usd_kit import cli, linalg
 from usd_kit.duality import check_density_matrix
 from usd_kit.errors import UsdKitError
 
@@ -188,6 +190,50 @@ def test_records_built_directly_are_read_only():
     with pytest.raises(TypeError):
         scenario.expected["overlap"] = 1.0
     assert scenario.full_unitary is None
+
+
+RECORDS = linalg._Immutable.__subclasses__()
+
+
+def test_the_nine_result_records_share_one_base():
+    assert sorted(c.__name__ for c in RECORDS) == [
+        "DiscriminationReport", "LossyEvolution", "OutcomeStats", "PovmSet", "ProjectiveBasis",
+        "Scenario", "StateEnsemble", "StateSet", "ValidationReport",
+    ]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda c: c.__name__)
+def test_records_name_a_missing_or_unknown_field(record):
+    # a record is built from exactly its own fields; a cached svd and a defaulted field may be left out
+    def build(**fields):  # the shared initializer: PovmSet's own takes a dense stack
+        obj = object.__new__(record)
+        linalg._Immutable.__init__(obj, **fields)
+        return obj
+
+    names = [f.name for f in dataclasses.fields(record)]
+    optional = [f.name for f in dataclasses.fields(record) if f.default is not dataclasses.MISSING]
+    cached = isinstance(vars(record).get("svd"), functools.cached_property)
+    assert optional == (["full_unitary"] if record is usd_kit.Scenario else [])
+    for given in (names, [n for n in names if n not in optional], names + ["svd"] * cached):
+        obj = build(**dict.fromkeys(given))
+        assert all(getattr(obj, n) is None for n in names)
+    for name in names:
+        if name not in optional:
+            with pytest.raises(TypeError, match=f"missing fields \\['{name}'\\]"):
+                build(**dict.fromkeys(n for n in names if n != name))
+    with pytest.raises(TypeError, match=r"unknown fields \['bogus'\]"):
+        build(**dict.fromkeys(names), bogus=None)
+    if not cached and "svd" not in names:  # only a cached slot is an allowed extra
+        with pytest.raises(TypeError, match=r"unknown fields \['svd'\]"):
+            build(**dict.fromkeys(names), svd=None)
+
+
+def test_a_misspelled_state_set_raises():
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(TypeError, match=r"StateSet: missing fields \['states'\], unknown fields \[\]"):
+        usd_kit.StateSet(dim=2)
+    with pytest.raises(TypeError, match=r"StateSet: missing fields \[\], unknown fields \['state'\]"):
+        usd_kit.StateSet(dim=2, states=eye, state=1)
 
 
 def test_public_factories_copy_what_the_caller_passes():
