@@ -114,8 +114,9 @@ def _floats(data, shape: tuple) -> np.ndarray | None:
 def _pairs(data, shape: tuple, where) -> np.ndarray:
     """The complex array of ``shape`` held as nested ``[re, im]`` pairs: a
     ``(rows, cols)`` matrix named ``where``, or a list of matrices or
-    ``(rows,)`` columns whose element k ``where(k)`` names.  Rejected data
-    is walked again, by the same rule, only to name its first bad spot."""
+    ``(rows,)`` columns whose element k ``where(k)`` names, as a name and
+    its error context.  Rejected data is walked again, by the same rule,
+    only to name its first bad spot."""
     x = _floats(data, (*shape, 2))
     if x is not None:
         return x.view(complex)[..., 0]
@@ -124,31 +125,33 @@ def _pairs(data, shape: tuple, where) -> np.ndarray:
         rest = full[len(path) + 1:]
         path += (next(i for i, item in enumerate(data) if _floats(item, rest) is None),)
         data = data[path[-1]]
+    context = {}
     if callable(where):  # a stack arrives as a list of its declared length
-        where, path, shape = where(path[0]), path[1:], shape[1:]
+        (where, context), path, shape = where(path[0]), path[1:], shape[1:]
     if not path:
-        raise ParseError(f"{where}: expected {shape[0]} rows")
+        raise ParseError(f"{where}: expected {shape[0]} rows", **context, rows=shape[0])
     if len(path) == 1 and len(shape) == 2:
-        raise ParseError(f"{where}: row {path[0]} must have {shape[1]} entries")
+        raise ParseError(f"{where}: row {path[0]} must have {shape[1]} entries", **context,
+                         row=path[0], entries=shape[1])
     col = path[1] if len(shape) == 2 else 0  # a state is a rows x 1 column
-    raise ParseError(f"{where}: entry ({path[0]},{col}) must be a [re, im] pair of finite numbers")
+    raise ParseError(f"{where}: entry ({path[0]},{col}) must be a [re, im] pair of finite numbers", **context,
+                     row=path[0], col=col)
 
 
 def _require_keys(doc, keys: set[str], where: str) -> None:
     if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected a JSON object")
+        raise ParseError(f"{where}: expected a JSON object", type=type(doc).__name__)
     if set(doc) != keys:
         missing = sorted(keys - set(doc))
         unknown = sorted(set(doc) - keys)
-        raise ParseError(
-            f"{where}: wrong keys (missing {missing}, unknown {unknown})"
-        )
+        raise ParseError(f"{where}: wrong keys (missing {missing}, unknown {unknown})",
+                         missing=missing, unknown=unknown)
 
 
 def _require_dim(doc, key: str, where: str) -> int:
     value = doc[key]
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ParseError(f"{where}: {key} must be a positive integer")
+        raise ParseError(f"{where}: {key} must be a positive integer", key=key)
     return value
 
 
@@ -178,12 +181,12 @@ def ensemble_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL) -> StateEnsemble
     dim = _require_dim(doc, "dim", "ensemble")
     raw_states = doc["states"]
     if not isinstance(raw_states, list) or not raw_states:
-        raise ParseError("ensemble: states must be a non-empty list")
-    states = _pairs(raw_states, (len(raw_states), dim), lambda k: f"ensemble state {k}")
+        raise ParseError("ensemble: states must be a non-empty list", key="states")
+    states = _pairs(raw_states, (len(raw_states), dim), lambda k: (f"ensemble state {k}", {"state": k}))
     priors = doc["priors"]
     priors = _floats(priors, (len(priors),)) if isinstance(priors, list) else None
     if priors is None:
-        raise ParseError("ensemble: priors must be a list of finite numbers")
+        raise ParseError("ensemble: priors must be a list of finite numbers", key="priors")
     return state_ensemble(_state_set(states.T, ctx), priors)  # _pairs checked every entry
 
 
@@ -212,8 +215,9 @@ def povm_from_doc(doc, ctx: ToleranceContext = DEFAULT_TOL, validate: bool = Tru
     dim = _require_dim(doc, "dim", "povm")
     raw_ops = doc["operators"]
     if not isinstance(raw_ops, list) or len(raw_ops) != dim + 1:
-        raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}")
-    ops = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: f"povm operator {k + 1}")
+        raise ParseError(f"povm: expected {dim + 1} operators for dimension {dim}",
+                         operators=len(raw_ops) if isinstance(raw_ops, list) else None, dim=dim)
+    ops = _pairs(raw_ops, (dim + 1, dim, dim), lambda k: (f"povm operator {k + 1}", {"operator": k + 1}))
     p = _dense_povm(ops)  # without PovmSet's checks, which _pairs has made
     if validate:
         report = validate_povm(p, ctx)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tempfile
@@ -850,17 +851,19 @@ def cli_argv(command: str, file: Path) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "command, doc, path, needle",
+    "command, doc, path, needle, context",
     [
-        ("embed --k", fig1_k_doc, ("data", 1, 0, 0), "entry (1,0)"),
-        ("embed --k", fig1_k_doc, ("cols",), "row 0"),
-        ("validate --povm", fig1_povm_doc, ("operators", 2, 0, 1, 1), "operator 3: entry (0,1)"),
-        ("dual --states", fig1_ensemble_doc, ("states", 1, 1, 0), "state 1: entry (1,0)"),
-        ("dual --states", fig1_ensemble_doc, ("priors", 0), "priors"),
+        ("embed --k", fig1_k_doc, ("data", 1, 0, 0), "entry (1,0)", {"row": 1, "col": 0}),
+        ("embed --k", fig1_k_doc, ("cols",), "row 0", {"row": 0, "entries": HUGE}),
+        ("validate --povm", fig1_povm_doc, ("operators", 2, 0, 1, 1), "operator 3: entry (0,1)",
+         {"operator": 3, "row": 0, "col": 1}),
+        ("dual --states", fig1_ensemble_doc, ("states", 1, 1, 0), "state 1: entry (1,0)",
+         {"state": 1, "row": 1, "col": 0}),
+        ("dual --states", fig1_ensemble_doc, ("priors", 0), "priors", {"key": "priors"}),
     ],
     ids=["matrix-entry", "matrix-cols", "povm-entry", "ensemble-state-entry", "priors"],
 )
-def test_cli_huge_json_integer_is_a_parse_error(tmp_path, capsys, command, doc, path, needle):
+def test_cli_huge_json_integer_is_a_parse_error(tmp_path, capsys, command, doc, path, needle, context):
     doc = replace_node(json.loads(io.render_json(doc())), path, HUGE)
     file = tmp_path / "doc.json"
     file.write_text(json.dumps(doc))
@@ -868,6 +871,7 @@ def test_cli_huge_json_integer_is_a_parse_error(tmp_path, capsys, command, doc, 
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "parse_error"
     assert needle in err["message"]
+    assert err["context"] == context
 
 
 @pytest.mark.parametrize(
@@ -876,16 +880,18 @@ def test_cli_huge_json_integer_is_a_parse_error(tmp_path, capsys, command, doc, 
     ids=["true", "string", "null", "huge", "nan", "short", "nested"],
 )
 @pytest.mark.parametrize(
-    "read, doc, path, needle",
+    "read, doc, path, needle, context",
     [
-        (io.matrix_from_doc, fig1_k_doc, ("data", 1, 0, 0), "matrix data: entry (1,0)"),
-        (io.ensemble_from_doc, fig1_ensemble_doc, ("states", 1, 1, 0), "ensemble state 1: entry (1,0)"),
-        (io.povm_from_doc, fig1_povm_doc, ("operators", 2, 0, 1, 1), "povm operator 3: entry (0,1)"),
-        (io.ensemble_from_doc, fig1_ensemble_doc, ("priors", 0), "ensemble: priors"),
+        (io.matrix_from_doc, fig1_k_doc, ("data", 1, 0, 0), "matrix data: entry (1,0)", {"row": 1, "col": 0}),
+        (io.ensemble_from_doc, fig1_ensemble_doc, ("states", 1, 1, 0), "ensemble state 1: entry (1,0)",
+         {"state": 1, "row": 1, "col": 0}),
+        (io.povm_from_doc, fig1_povm_doc, ("operators", 2, 0, 1, 1), "povm operator 3: entry (0,1)",
+         {"operator": 3, "row": 0, "col": 1}),
+        (io.ensemble_from_doc, fig1_ensemble_doc, ("priors", 0), "ensemble: priors", {"key": "priors"}),
     ],
     ids=["matrix", "ensemble-state", "povm-operator", "priors"],
 )
-def test_reader_rejects_a_bad_leaf_and_names_its_spot(read, doc, path, needle, mutation):
+def test_reader_rejects_a_bad_leaf_and_names_its_spot(read, doc, path, needle, context, mutation):
     """One leaf turned into a non-number, a non-finite number, or the list
     holding it cut one short or nested one level deeper."""
     doc = json.loads(io.render_json(doc()))
@@ -905,6 +911,36 @@ def test_reader_rejects_a_bad_leaf_and_names_its_spot(read, doc, path, needle, m
     with pytest.raises(ParseError) as err:
         read(doc)
     assert needle in str(err.value)
+    assert err.value.context == context
+
+
+def cut_node(doc, path):
+    """``doc`` with the list at ``path`` one element short."""
+    return replace_node(doc, path, functools.reduce(lambda node, key: node[key], path, doc)[:-1])
+
+
+@pytest.mark.parametrize("command, edit, message, context", [
+    ("embed --k", lambda doc: fig1_povm_doc(),
+     "matrix: wrong keys (missing ['cols', 'data', 'rows'], unknown ['dim', 'operators'])",
+     {"missing": ["cols", "data", "rows"], "unknown": ["dim", "operators"]}),
+    ("embed --k", lambda doc: {**doc, "rows": 3}, "matrix data: expected 3 rows", {"rows": 3}),
+    ("embed --k", lambda doc: {**doc, "cols": 0}, "matrix: cols must be a positive integer", {"key": "cols"}),
+    ("validate --povm", lambda doc: [doc], "povm: expected a JSON object", {"type": "list"}),
+    ("validate --povm", lambda doc: {**doc, "dim": 3}, "povm: expected 4 operators for dimension 3",
+     {"operators": 3, "dim": 3}),
+    ("validate --povm", lambda doc: cut_node(doc, ("operators", 1, 1)), "povm operator 2: row 1 must have 2 entries",
+     {"operator": 2, "row": 1, "entries": 2}),
+    ("dual --states", lambda doc: {**doc, "states": []}, "ensemble: states must be a non-empty list",
+     {"key": "states"}),
+    ("dual --states", lambda doc: cut_node(doc, ("states", 1)), "ensemble state 1: expected 2 rows",
+     {"state": 1, "rows": 2}),
+], ids=["wrong-keys", "rows", "cols", "not-an-object", "operator-count", "operator-row", "no-states", "state-rows"])
+def test_cli_document_errors_name_the_numbers(tmp_path, capsys, command, edit, message, context):
+    doc = {"embed": fig1_k_doc, "validate": fig1_povm_doc, "dual": fig1_ensemble_doc}[command.split()[0]]()
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(edit(json.loads(io.render_json(doc)))))
+    assert main(cli_argv(command, file)) == 1
+    assert one_envelope(capsys.readouterr().err) == {"code": "parse_error", "message": message, "context": context}
 
 
 @pytest.mark.parametrize(
