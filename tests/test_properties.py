@@ -113,6 +113,21 @@ def test_near_cond_max_uniform_povm_is_valid_or_a_typed_error(dim, seed, log_con
     assert np.linalg.norm(duals.conj().T @ a - np.eye(dim)) <= budget
 
 
+@PROPERTY
+@given(dim=DIMS, seed=SEEDS, log_cond=st.floats(0.0, 12.0))
+@example(dim=3, seed=13186, log_cond=0.001)  # 16.8 N eps cond, the worst of 180,000 seeds at N <= 4
+@example(dim=64, seed=0, log_cond=11.8)
+def test_duals_pair_to_the_documented_accuracy(dim, seed, log_cond):
+    # dual_set's bound over the whole domain: ||D^dag A - I||_F <= 80 N eps cond(A)
+    try:
+        s = state_set(log_spaced_states(np.random.default_rng(seed), dim, log_cond))
+    except SingularStates:
+        return  # condition number above cond_max: a typed error
+    a, duals = np.asarray(s.states), dual_set(s)
+    budget = 80.0 * dim * np.finfo(float).eps * sv_condition(s.sv)
+    assert np.linalg.norm(duals.conj().T @ a - np.eye(dim)) <= budget
+
+
 def conditioned(rng: np.random.Generator, n: int, boundary: bool) -> np.ndarray:
     """``U diag(s) V`` with singular values in ``[0.05, 1)``, the largest one
     exactly 1 on the passiveness ``boundary``: passive, invertible, cond <= 20."""
