@@ -210,8 +210,9 @@ def test_records_name_a_missing_or_unknown_field(record):
         linalg._Immutable.__init__(obj, **fields)
         return obj
 
-    names = [f.name for f in dataclasses.fields(record)]
-    optional = [f.name for f in dataclasses.fields(record) if f.default is not dataclasses.MISSING]
+    fields = dataclasses.fields(record)
+    names = [f.name for f in fields]
+    optional = [f.name for f in fields if f.default is not dataclasses.MISSING]
     cached = isinstance(vars(record).get("svd"), functools.cached_property)
     assert optional == (["full_unitary"] if record is usd_kit.Scenario else [])
     for given in (names, [n for n in names if n not in optional], names + ["svd"] * cached):
